@@ -6,6 +6,7 @@
 // the archive layer never reads past its input.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -22,23 +23,35 @@ class ArchiveError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Incrementally computed CRC-32 (reflected polynomial 0xEDB88320).
+/// Incrementally computed CRC-32 (reflected polynomial 0xEDB88320), one
+/// table lookup per byte.
 class Crc32 {
  public:
   void update(const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
     std::uint32_t c = ~value_;
     for (std::size_t i = 0; i < len; ++i) {
-      c ^= p[i];
-      for (int k = 0; k < 8; ++k) {
-        c = (c >> 1) ^ (0xEDB88320u & (~(c & 1) + 1));
-      }
+      c = kTable[(c ^ p[i]) & 0xffu] ^ (c >> 8);
     }
     value_ = ~c;
   }
   std::uint32_t value() const { return value_; }
 
  private:
+  /// kTable[b]: the register after shifting byte value b through the
+  /// eight bitwise steps of the reflected polynomial.
+  static constexpr auto kTable = [] {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      std::uint32_t c = b;
+      for (int k = 0; k < 8; ++k) {
+        c = (c >> 1) ^ (0xEDB88320u & (~(c & 1) + 1));
+      }
+      table[b] = c;
+    }
+    return table;
+  }();
+
   std::uint32_t value_ = 0;
 };
 

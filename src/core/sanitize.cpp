@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <numeric>
+#include <optional>
 
 #include "net/asn.h"
 
@@ -35,6 +35,21 @@ const char* to_string(PeerRemovalReason reason) {
 
 namespace {
 
+/// True when a bogon ASN sits anywhere behind the path's first hop (AS_SET
+/// members count in stored order). The peer's own leading hop may
+/// legitimately repeat; a bogon *behind* it signals injection (the
+/// AS65000 case).
+bool bogon_behind_head(const net::AsPath& path) {
+  bool head = true;
+  for (const auto& seg : path.segments()) {
+    for (const net::Asn asn : seg.asns) {
+      if (!head && net::is_bogon_asn(asn)) return true;
+      head = false;
+    }
+  }
+  return false;
+}
+
 struct PeerScan {
   std::size_t records = 0;
   std::size_t corrupt = 0;
@@ -43,31 +58,73 @@ struct PeerScan {
   std::size_t unique_prefixes = 0;
 };
 
-PeerScan scan_peer(const net::PathPool& paths, const bgp::PeerFeed& feed) {
+/// Pass-1 statistics of one feed. `stamp[prefix]` holds the tag of the
+/// last feed that carried the prefix (tags are distinct per feed);
+/// `bogon[path]` memoizes bogon_behind_head per source path id
+/// (-1 = not computed yet).
+PeerScan scan_peer(const net::PathPool& paths, const bgp::PeerFeed& feed,
+                   std::uint32_t tag, std::vector<std::uint32_t>& stamp,
+                   std::vector<std::int8_t>& bogon) {
   PeerScan s;
   s.records = feed.records.size();
-  std::unordered_set<bgp::PrefixId> seen;
-  seen.reserve(feed.records.size());
   for (const auto& rec : feed.records) {
     if (bgp::is_addpath_artifact(rec.status)) ++s.corrupt;
-    if (!seen.insert(rec.prefix).second) ++s.duplicates;
-    const auto& path = paths.get(rec.path);
-    // The peer's own leading hop may legitimately repeat; a bogon anywhere
-    // *behind* the first hop signals injection (the AS65000 case).
-    const auto hops = path.flat();
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      if (net::is_bogon_asn(hops[i])) {
-        ++s.bogon_paths;
-        break;
-      }
+    if (stamp[rec.prefix] == tag) {
+      ++s.duplicates;
+    } else {
+      stamp[rec.prefix] = tag;
+      ++s.unique_prefixes;
+    }
+    std::int8_t& verdict = bogon[rec.path];
+    if (verdict < 0) verdict = bogon_behind_head(paths.get(rec.path)) ? 1 : 0;
+    s.bogon_paths += static_cast<std::size_t>(verdict);
+  }
+  return s;
+}
+
+/// What record cleaning does with one source path: keep it, keep its
+/// singleton-AS_SET expansion, or drop it (multi-member AS_SET).
+enum class Cleaning : std::uint8_t { kUnseen, kKeep, kExpand, kDrop };
+
+struct CleanedPath {
+  bgp::PathId id = net::PathPool::kEmptyPathId;  // in the output pool
+  Cleaning action = Cleaning::kUnseen;
+};
+
+/// Counts, per prefix, the distinct values of `key(table)` over the tables
+/// carrying it: the tables are visited grouped by key, and a prefix counts
+/// a group once through its stamp.
+template <typename Key>
+void count_distinct(const std::vector<VpTable>& vps, Key key,
+                    std::vector<std::uint32_t>& stamp,
+                    std::vector<std::uint32_t>& count) {
+  std::vector<std::uint32_t> order(vps.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return key(vps[a]) < key(vps[b]);
+  });
+  std::fill(stamp.begin(), stamp.end(), 0u);
+  std::uint32_t group = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const VpTable& table = vps[order[i]];
+    if (i == 0 || key(vps[order[i - 1]]) != key(table)) ++group;
+    for (const auto& entry : table.routes) {
+      if (stamp[entry.first] == group) continue;
+      stamp[entry.first] = group;
+      ++count[entry.first];
     }
   }
-  s.unique_prefixes = seen.size();
-  return s;
 }
 
 }  // namespace
 
+// Every per-record lookup below is an index into a dense array: per-prefix
+// arrays sized to the view's prefix pool, per-path memos sized to its path
+// pool (the archive decoder rejects out-of-range ids, and in-memory
+// datasets intern every id they hold). Each source path is inspected once
+// — its bogon verdict in pass 1, its cleaning in pass 3 — so paths are
+// interned into the output pool in the order of their first surviving
+// record, exactly as interning every record would.
 SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
                            const bgp::Snapshot& snap,
                            const SanitizeConfig& config) {
@@ -81,6 +138,9 @@ SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
       config.max_prefix_length > 0
           ? config.max_prefix_length
           : (src.family() == net::Family::kIPv4 ? 24 : 48);
+  const std::size_t n_prefixes = src.prefixes().size();
+  const std::size_t n_paths = src.paths().size();
+  std::vector<std::uint32_t> stamp(n_prefixes, 0);
 
   // --- pass 1: per-peer statistics & abnormal-peer removal ---------------
   // `kept_index[i]` remembers where kept[i] sat in snap.peers — the peer
@@ -88,9 +148,10 @@ SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
   std::vector<const bgp::PeerFeed*> kept;
   std::vector<std::uint32_t> kept_index;
   std::vector<PeerScan> scans;
+  std::vector<std::int8_t> bogon(n_paths, -1);
   for (std::uint32_t raw = 0; raw < snap.peers.size(); ++raw) {
     const auto& feed = snap.peers[raw];
-    const PeerScan s = scan_peer(src.paths(), feed);
+    const PeerScan s = scan_peer(src.paths(), feed, raw + 1, stamp, bogon);
     if (config.remove_abnormal_peers && s.records > 0) {
       const double corrupt_share =
           static_cast<double>(s.corrupt) / static_cast<double>(s.records);
@@ -156,6 +217,7 @@ SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
   rep.full_feed_peers = kept.size();
 
   // --- pass 3: record cleaning into per-VP tables -------------------------
+  std::vector<CleanedPath> cleaned(n_paths);
   out.vps.reserve(kept.size());
   for (std::size_t k = 0; k < kept.size(); ++k) {
     const auto* feedp = kept[k];
@@ -168,19 +230,24 @@ SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
         ++rep.records_dropped_corrupt;
         continue;
       }
-      const auto& raw = src.paths().get(rec.path);
-      bgp::PathId pid;
-      if (raw.has_set()) {
-        if (!raw.sets_all_singleton()) {
-          ++rep.records_dropped_asset;
-          continue;
+      CleanedPath& path = cleaned[rec.path];
+      if (path.action == Cleaning::kUnseen) {
+        const auto& raw = src.paths().get(rec.path);
+        if (!raw.has_set()) {
+          path = {out.paths.intern(raw), Cleaning::kKeep};
+        } else if (raw.sets_all_singleton()) {
+          path = {out.paths.intern(raw.with_singleton_sets_expanded()),
+                  Cleaning::kExpand};
+        } else {
+          path.action = Cleaning::kDrop;
         }
-        pid = out.paths.intern(raw.with_singleton_sets_expanded());
-        ++rep.asset_paths_expanded;
-      } else {
-        pid = out.paths.intern(raw);
       }
-      table.routes.emplace_back(rec.prefix, pid);
+      if (path.action == Cleaning::kDrop) {
+        ++rep.records_dropped_asset;
+        continue;
+      }
+      if (path.action == Cleaning::kExpand) ++rep.asset_paths_expanded;
+      table.routes.emplace_back(rec.prefix, path.id);
     }
     std::sort(table.routes.begin(), table.routes.end());
     // Deduplicate (first wins; exact duplicates collapse silently).
@@ -194,57 +261,59 @@ SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
   }
 
   // --- pass 4: prefix filtering -------------------------------------------
-  struct Visibility {
-    std::unordered_set<std::uint16_t> collectors;
-    std::unordered_set<net::Asn> peer_ases;
-  };
-  std::unordered_map<bgp::PrefixId, Visibility> vis;
-  for (const auto& table : out.vps) {
-    for (const auto& [prefix, path] : table.routes) {
-      auto& v = vis[prefix];
-      v.collectors.insert(table.peer.collector);
-      v.peer_ases.insert(table.peer.asn);
-    }
-  }
-  rep.prefixes_in = vis.size();
+  std::vector<std::uint32_t> collectors(n_prefixes, 0);
+  std::vector<std::uint32_t> peer_ases(n_prefixes, 0);
+  count_distinct(
+      out.vps, [](const VpTable& t) { return t.peer.collector; }, stamp,
+      collectors);
+  count_distinct(
+      out.vps, [](const VpTable& t) { return t.peer.asn; }, stamp, peer_ases);
 
-  std::unordered_set<bgp::PrefixId> keep_prefixes;
-  keep_prefixes.reserve(vis.size());
-  for (const auto& [prefix, v] : vis) {
+  // Visiting prefix ids in order emits out.prefixes already sorted.
+  std::vector<char> keep(n_prefixes, 0);
+  for (bgp::PrefixId prefix = 0; prefix < n_prefixes; ++prefix) {
+    if (collectors[prefix] == 0) continue;  // no retained VP carries it
+    ++rep.prefixes_in;
     if (src.prefixes().get(prefix).length() > max_len) {
       ++rep.prefixes_dropped_length;
       continue;
     }
     if (config.filter_prefixes &&
-        (v.collectors.size() < static_cast<std::size_t>(config.min_collectors) ||
-         v.peer_ases.size() < static_cast<std::size_t>(config.min_peer_ases))) {
+        (collectors[prefix] <
+             static_cast<std::size_t>(config.min_collectors) ||
+         peer_ases[prefix] < static_cast<std::size_t>(config.min_peer_ases))) {
       ++rep.prefixes_dropped_visibility;
       continue;
     }
-    keep_prefixes.insert(prefix);
+    keep[prefix] = 1;
+    out.prefixes.push_back(prefix);
   }
-  rep.prefixes_kept = keep_prefixes.size();
+  rep.prefixes_kept = out.prefixes.size();
 
   for (auto& table : out.vps) {
-    std::erase_if(table.routes, [&](const auto& entry) {
-      return !keep_prefixes.contains(entry.first);
-    });
+    std::erase_if(table.routes,
+                  [&](const auto& entry) { return keep[entry.first] == 0; });
   }
-  out.prefixes.assign(keep_prefixes.begin(), keep_prefixes.end());
-  std::sort(out.prefixes.begin(), out.prefixes.end());
 
   // --- MOAS accounting (not removed; §2.4.3) ------------------------------
-  std::unordered_map<bgp::PrefixId, net::Asn> first_origin;
-  std::unordered_set<bgp::PrefixId> moas;
+  std::vector<std::optional<net::Asn>> origin(out.paths.size());
+  for (bgp::PathId id = 0; id < out.paths.size(); ++id) {
+    origin[id] = out.paths.get(id).origin();
+  }
+  std::vector<std::optional<net::Asn>> first_origin(n_prefixes);
+  std::vector<char> moas(n_prefixes, 0);
   for (const auto& table : out.vps) {
     for (const auto& [prefix, path] : table.routes) {
-      const auto origin = out.paths.get(path).origin();
-      if (!origin) continue;
-      const auto [it, fresh] = first_origin.emplace(prefix, *origin);
-      if (!fresh && it->second != *origin) moas.insert(prefix);
+      if (!origin[path]) continue;
+      auto& first = first_origin[prefix];
+      if (!first) {
+        first = origin[path];
+      } else if (*first != *origin[path] && moas[prefix] == 0) {
+        moas[prefix] = 1;
+        ++rep.moas_prefixes;
+      }
     }
   }
-  rep.moas_prefixes = moas.size();
 
   return out;
 }

@@ -118,6 +118,11 @@ void serialize_to(const Value& v, std::string& out, int depth) {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted. The parser recurses once per
+  /// level, so the bound keeps hostile input (a serve frame of 100k '[')
+  /// from exhausting the stack; reports nest a handful of levels.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse_document() {
@@ -161,8 +166,8 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_nested(&Parser::parse_object);
+      case '[': return parse_nested(&Parser::parse_array);
       case '"': return Value(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -175,6 +180,14 @@ class Parser {
         return Value(nullptr);
       default: return parse_number();
     }
+  }
+
+  Value parse_nested(Value (Parser::*parse)()) {
+    if (depth_ == kMaxDepth) fail("nesting too deep");
+    ++depth_;
+    Value v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   Value parse_object() {
@@ -309,6 +322,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -76,8 +76,8 @@ class Value {
   std::string serialize() const;
 
   /// Strict recursive-descent parse of one JSON document; throws
-  /// std::runtime_error (with byte offset) on malformed input or
-  /// trailing garbage.
+  /// std::runtime_error (with byte offset) on malformed input, trailing
+  /// garbage, or arrays/objects nested more than 256 deep.
   static Value parse(std::string_view text);
 
   /// Structural equality; numbers compare by value across the three

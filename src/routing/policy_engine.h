@@ -1,6 +1,6 @@
 // Pluggable per-AS routing policy.
 //
-// The Propagator's Dijkstra relaxation consults a PolicyEngine for every
+// The Propagator's shortest-path relaxation consults a PolicyEngine for every
 // edge decision, splitting the classic hardwired Gao-Rexford behaviour
 // into three composable hooks:
 //
@@ -12,9 +12,9 @@
 //   * selection_rank — an extra selection key ordered directly after
 //     path preference and length (lower wins; a depref-style ROV policy
 //     ranks invalid sources worse instead of dropping them),
-//   * leaks — marks a transit as violating the valley-free export rule
-//     (route leak): the Propagator re-runs propagation with the leaker's
-//     learned route re-exported to its providers and peers.
+//   * leaker — the one transit (if any) violating the valley-free export
+//     rule (route leak): the Propagator re-runs propagation with the
+//     leaker's learned route re-exported to its providers and peers.
 //
 // A route computation can have several sources (multi-origin prefixes:
 // MOAS, origin hijacks), each with its own origin, unit policy and ROV
@@ -59,9 +59,9 @@ class PolicyEngine {
   virtual std::uint32_t selection_rank(const RouteSource& src,
                                        std::uint16_t source_index) const = 0;
 
-  /// True when `node` re-exports learned routes in violation of the
-  /// valley-free rule (route leak).
-  virtual bool leaks(topo::NodeId node) const = 0;
+  /// The node re-exporting learned routes in violation of the
+  /// valley-free rule (route leak), or kNoNode when nobody leaks.
+  virtual topo::NodeId leaker() const = 0;
 };
 
 /// The standard model: Gao-Rexford export with the per-unit policy knobs,
@@ -81,7 +81,7 @@ class GaoRexfordEngine final : public PolicyEngine {
   bool allow_import(const RouteSource& src, topo::NodeId node) const override;
   std::uint32_t selection_rank(const RouteSource& src,
                                std::uint16_t source_index) const override;
-  bool leaks(topo::NodeId node) const override;
+  topo::NodeId leaker() const override { return leaker_; }
 
  private:
   const topo::AsGraph& graph_;

@@ -1,7 +1,8 @@
 #include "routing/propagation.h"
 
+#include <algorithm>
 #include <cassert>
-#include <queue>
+#include <tuple>
 
 namespace bgpatoms::routing {
 
@@ -22,53 +23,44 @@ void Propagator::compute(NodeId origin, const UnitPolicy* policy,
 
 void Propagator::compute(std::span<const RouteSource> sources,
                          const PolicyEngine& engine, RouteTable& t) const {
-  compute_pass(sources, engine, {}, {}, t);
+  compute_pass(sources, engine, {}, kNoNode, t);
 
-  // Route-leak second pass: re-run with every reachable leaker's learned
-  // route re-exported valley-violatingly. A leaker whose route is already
+  // Route-leak second pass: re-run with the leaker's learned route
+  // re-exported valley-violatingly. A leaker whose route is already
   // customer-class (or its own) exports everywhere under the normal rule,
-  // so only peer/provider-class leaker routes need the extra pass.
-  std::vector<NodeId> leakers;
-  for (NodeId v = 0; v < graph_.size(); ++v) {
-    if (!engine.leaks(v)) continue;
-    if (t.cls[v] != RouteClass::kPeer && t.cls[v] != RouteClass::kProvider) {
-      continue;
-    }
-    leakers.push_back(v);
+  // so only a peer/provider-class leaker route needs the extra pass.
+  const NodeId leaker = engine.leaker();
+  if (leaker >= graph_.size()) return;
+  if (t.cls[leaker] != RouteClass::kPeer &&
+      t.cls[leaker] != RouteClass::kProvider) {
+    return;
   }
-  if (leakers.empty()) return;
 
-  // Pin each leaker's full first-pass parent chain: those ASes are on the
+  // Pin the leaker's full first-pass parent chain: those ASes are on the
   // leaked route's AS path and would reject the looped announcement, so
   // they keep their original entries (this is what keeps parent chains
   // acyclic in the second pass).
   std::vector<PinnedEntry> pinned;
-  std::vector<char> seen(graph_.size(), 0);
-  for (const NodeId leaker : leakers) {
-    NodeId cur = leaker;
-    while (!seen[cur]) {
-      seen[cur] = 1;
-      pinned.push_back(PinnedEntry{cur, t.dist[cur], t.cls[cur],
-                                   t.parent[cur], t.edge_prepend[cur],
-                                   t.source[cur]});
-      if (t.cls[cur] == RouteClass::kSelf) break;
-      cur = t.parent[cur];
-    }
+  for (NodeId cur = leaker;; cur = t.parent[cur]) {
+    pinned.push_back(PinnedEntry{cur, t.dist[cur], t.cls[cur], t.parent[cur],
+                                 t.edge_prepend[cur], t.source[cur]});
+    if (t.cls[cur] == RouteClass::kSelf) break;
   }
-  compute_pass(sources, engine, pinned, leakers, t);
+  compute_pass(sources, engine, pinned, leaker, t);
 }
 
 void Propagator::compute_pass(std::span<const RouteSource> sources,
                               const PolicyEngine& engine,
                               std::span<const PinnedEntry> pinned,
-                              std::span<const topo::NodeId> leakers,
-                              RouteTable& t) const {
+                              NodeId leaker, RouteTable& t) const {
+  using Candidate = RouteTable::Candidate;
   const std::size_t n = graph_.size();
   t.dist.assign(n, UINT32_MAX);
   t.cls.assign(n, RouteClass::kNone);
   t.parent.assign(n, kNoNode);
   t.edge_prepend.assign(n, 0);
   t.source.assign(n, kNoSource);
+  t.pending.assign(n, Candidate{});
 
   for (std::uint16_t i = 0; i < sources.size(); ++i) {
     const NodeId origin = sources[i].origin;
@@ -86,11 +78,12 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
     t.source[e.node] = e.source;
   }
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      pq;
+  // Buckets lo..hi may hold nodes queued in the current phase.
+  std::uint32_t lo = UINT32_MAX;
+  std::uint32_t hi = 0;
 
-  // Pushes a candidate route at `to` learned from `from`. `leak_edge`
+  // Offers a candidate route at `to` learned from `from`; it replaces the
+  // node's pending one when its selection key is smaller. `leak_edge`
   // bypasses the export rule (valley-violating re-export); the import
   // filter still applies.
   auto relax = [&](NodeId from, const Neighbor& to, bool leak_edge = false) {
@@ -105,26 +98,57 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
       }
     }
     if (!engine.allow_import(src, to.node)) return;
-    const std::uint32_t d = t.dist[from] + 1 + prepend;
-    pq.push(QueueEntry{d, engine.selection_rank(src, si),
-                       graph_.node(from).asn, to.node, from, prepend, si});
+    const Candidate c{t.dist[from] + 1 + prepend,
+                      engine.selection_rank(src, si), graph_.node(from).asn,
+                      from, prepend, si};
+    Candidate& cur = t.pending[to.node];
+    if (std::tie(c.dist, c.rank, c.parent_asn) >=
+        std::tie(cur.dist, cur.rank, cur.parent_asn)) {
+      return;
+    }
+    if (c.dist != cur.dist) {
+      if (c.dist >= t.buckets.size()) t.buckets.resize(c.dist + 1);
+      t.buckets[c.dist].push_back(to.node);
+      lo = std::min(lo, c.dist);
+      hi = std::max(hi, c.dist);
+    }
+    cur = c;
   };
 
-  // Runs one Dijkstra phase: nodes popped get `assign_cls`; the popped
-  // node's outgoing edges are relaxed when `edge_ok(rel)` holds.
+  // Runs one phase: sweeps the buckets in path-length order, finalizing
+  // each queued node with `assign_cls` and its pending candidate, and
+  // relaxes the node's outgoing edges when `edge_ok(rel)` holds. A node
+  // whose candidate improved to a shorter length was finalized from that
+  // earlier bucket and is skipped here.
   auto drain = [&](RouteClass assign_cls, auto edge_ok) {
-    while (!pq.empty()) {
-      const QueueEntry e = pq.top();
-      pq.pop();
-      if (t.cls[e.node] != RouteClass::kNone) continue;  // lazy deletion
-      t.cls[e.node] = assign_cls;
-      t.dist[e.node] = e.dist;
-      t.parent[e.node] = e.parent;
-      t.edge_prepend[e.node] = e.prepend;
-      t.source[e.node] = e.source;
-      for (const auto& nb : graph_.node(e.node).neighbors) {
-        if (edge_ok(nb.rel)) relax(e.node, nb);
+    for (std::uint32_t d = lo; d <= hi; ++d) {
+      // Relaxing appends only to buckets > d (and may grow `buckets`), so
+      // bucket d is indexed afresh on every step.
+      for (std::size_t i = 0; i < t.buckets[d].size(); ++i) {
+        const NodeId v = t.buckets[d][i];
+        if (t.cls[v] != RouteClass::kNone) continue;
+        const Candidate c = t.pending[v];
+        assert(c.dist == d);
+        t.cls[v] = assign_cls;
+        t.dist[v] = c.dist;
+        t.parent[v] = c.parent;
+        t.edge_prepend[v] = c.prepend;
+        t.source[v] = c.source;
+        for (const auto& nb : graph_.node(v).neighbors) {
+          if (edge_ok(nb.rel)) relax(v, nb);
+        }
       }
+      t.buckets[d].clear();
+    }
+    lo = UINT32_MAX;
+    hi = 0;
+  };
+
+  // Relaxes the leaker's edges of relation `rel` as valley violations.
+  auto relax_leak = [&](Rel rel) {
+    if (leaker == kNoNode) return;
+    for (const auto& nb : graph_.node(leaker).neighbors) {
+      if (nb.rel == rel) relax(leaker, nb, /*leak_edge=*/true);
     }
   };
 
@@ -152,11 +176,7 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
   }
   // The leaked route reaches the leaker's providers as if customer-
   // learned: it enters selection as customer class at the receivers.
-  for (const NodeId leaker : leakers) {
-    for (const auto& nb : graph_.node(leaker).neighbors) {
-      if (nb.rel == Rel::kProvider) relax(leaker, nb, /*leak_edge=*/true);
-    }
-  }
+  relax_leak(Rel::kProvider);
   drain(RouteClass::kCustomer, climb_ok);
 
   // --- phase 2: one peer hop, then sibling spread ------------------------
@@ -167,11 +187,7 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
       if (nb.rel == Rel::kPeer) relax(u, nb);
     }
   }
-  for (const NodeId leaker : leakers) {
-    for (const auto& nb : graph_.node(leaker).neighbors) {
-      if (nb.rel == Rel::kPeer) relax(leaker, nb, /*leak_edge=*/true);
-    }
-  }
+  relax_leak(Rel::kPeer);
   drain(RouteClass::kPeer, [](Rel r) { return r == Rel::kSibling; });
 
   // --- phase 3: provider routes descend customer (and sibling) edges ---

@@ -13,14 +13,21 @@
 //
 // The computation runs in three phases (customer routes climbing provider
 // edges, a single peer-edge step, provider routes descending customer
-// edges), each a Dijkstra over prepend-weighted hop counts. Every edge
+// edges). Each phase is a bucketed shortest-path sweep over
+// prepend-weighted hop counts (Dial's algorithm): every unfinalized node
+// keeps only its best pending offer under the selection key (path
+// length, selection_rank, neighbor ASN) and sits in the bucket of that
+// length. Every edge adds at least one hop, so all offers of length d
+// exist before bucket d is drained; draining the buckets in order
+// finalizes each node with exactly the offer a priority-queue Dijkstra
+// would pop first, in O(V + E) without a heap. Every edge
 // decision — export rule, import filter, extra selection key — is
 // delegated to a PolicyEngine (policy_engine.h), so restricted
 // announcement, NO_EXPORT, transit rules, prepending and ROV dropping are
 // applied during relaxation and a policy change produces exactly the path
 // changes real BGP would converge to.
 //
-// Route leaks: when the engine marks a reachable transit as leaking, a
+// Route leaks: when the engine's leaker holds a peer or provider route, a
 // second pass re-runs propagation with the leaker's learned route
 // re-exported to its providers and peers as if customer-learned — the
 // classic valley violation. The leaker's own upstream path is pinned from
@@ -60,6 +67,21 @@ struct RouteTable {
   /// Index of the winning RouteSource per node (kNoSource = unreachable).
   std::vector<std::uint16_t> source;
 
+  /// A route offered to a node that is not finalized yet.
+  struct Candidate {
+    std::uint32_t dist = UINT32_MAX;
+    std::uint32_t rank = 0;     // engine selection_rank (0 for the default)
+    net::Asn parent_asn = 0;    // deterministic tie-break
+    topo::NodeId parent = topo::kNoNode;
+    std::uint8_t prepend = 0;
+    std::uint16_t source = kNoSource;
+  };
+  /// Propagator::compute scratch, not part of the result: each node's
+  /// best pending candidate and the nodes queued per path length. Kept
+  /// here so repeated runs reuse the storage and compute stays const.
+  std::vector<Candidate> pending;
+  std::vector<std::vector<topo::NodeId>> buckets;
+
   bool reachable(topo::NodeId v) const {
     return cls[v] != RouteClass::kNone;
   }
@@ -71,8 +93,8 @@ class Propagator {
 
   /// Computes routes toward `sources` (each an origin announcing the unit)
   /// with every edge decision delegated to `engine`. Reuses `out`'s
-  /// storage. Const and state-free: concurrent calls are safe with
-  /// distinct `out` tables.
+  /// storage, scratch included. Const and state-free: concurrent calls
+  /// are safe with distinct `out` tables.
   void compute(std::span<const RouteSource> sources,
                const PolicyEngine& engine, RouteTable& out) const;
 
@@ -95,23 +117,6 @@ class Propagator {
   const topo::AsGraph& graph() const { return graph_; }
 
  private:
-  struct QueueEntry {
-    std::uint32_t dist;
-    std::uint32_t rank;   // engine selection_rank (0 for the default)
-    net::Asn parent_asn;  // deterministic tie-break
-    topo::NodeId node;
-    topo::NodeId parent;
-    std::uint8_t prepend;
-    std::uint16_t source;
-
-    friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-      if (a.dist != b.dist) return a.dist > b.dist;
-      if (a.rank != b.rank) return a.rank > b.rank;
-      if (a.parent_asn != b.parent_asn) return a.parent_asn > b.parent_asn;
-      return a.node > b.node;
-    }
-  };
-
   /// One leaked-route entry pinned from the first pass.
   struct PinnedEntry {
     topo::NodeId node;
@@ -123,12 +128,11 @@ class Propagator {
   };
 
   /// One full three-phase propagation. `pinned` entries (leak pass) are
-  /// finalized up front; `leakers` additionally re-export to providers
-  /// and peers.
+  /// finalized up front; `leaker` (kNoNode = none) additionally
+  /// re-exports to providers and peers.
   void compute_pass(std::span<const RouteSource> sources,
                     const PolicyEngine& engine,
-                    std::span<const PinnedEntry> pinned,
-                    std::span<const topo::NodeId> leakers,
+                    std::span<const PinnedEntry> pinned, topo::NodeId leaker,
                     RouteTable& out) const;
 
   const topo::AsGraph& graph_;

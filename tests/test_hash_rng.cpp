@@ -50,6 +50,21 @@ TEST(Crc32, KnownVector) {
   EXPECT_EQ(crc.value(), 0xCBF43926u);
 }
 
+TEST(Crc32, TableMatchesBitwiseDefinition) {
+  // Reference: the bit-at-a-time reflected CRC-32, over every byte value
+  // and a run long enough to cycle the register through many states.
+  std::vector<std::uint8_t> data(1024);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 3));
+  }
+  std::uint32_t c = ~0u;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  EXPECT_EQ(bgp::crc32(data), ~c);
+}
+
 TEST(Crc32, IncrementalMatchesOneShot) {
   const std::vector<std::uint8_t> data{1, 2, 3, 4, 5, 6, 7, 8};
   bgp::Crc32 a;

@@ -150,6 +150,15 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(report::json::Value::parse("'single'"), std::runtime_error);
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(report::json::Value::parse(nested(256)));
+  EXPECT_THROW(report::json::Value::parse(nested(257)), std::runtime_error);
+}
+
 TEST(Json, IntegersAboveTwoPow53SerializeDigitExact) {
   // 2^53 + 1 is the first integer a double cannot represent: the old
   // double round-trip printed 9007199254740992 for it. Counters from the

@@ -202,7 +202,7 @@ TEST(Scenario, SelectionRankBreaksTiesBeforeNeighborAsn) {
                                  std::uint16_t source_index) const override {
       return source_index == 1 ? 0 : 1;
     }
-    bool leaks(NodeId node) const override { return base_.leaks(node); }
+    NodeId leaker() const override { return base_.leaker(); }
 
    private:
     GaoRexfordEngine base_;

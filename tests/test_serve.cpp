@@ -178,6 +178,21 @@ TEST(ServeState, ErrorPathsKeepTheConnectionUsable) {
   EXPECT_TRUE(ok(reply_for(state, R"({"op":"stats"})")));
 }
 
+TEST(ServeState, DeeplyNestedFramesGetAnErrorReply) {
+  // Hostile frames nest far past the parser's depth bound; each must come
+  // back as an error reply rather than exhausting the stack.
+  const ServeState state = make_state();
+  const std::string arrays(100000, '[');
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+  for (const std::string& frame : {arrays, objects}) {
+    const auto reply = reply_for(state, frame);
+    EXPECT_FALSE(ok(reply));
+    EXPECT_NE(error_of(reply).find("nesting too deep"), std::string::npos);
+  }
+  EXPECT_TRUE(ok(reply_for(state, R"({"op":"lookup","q":"10.0.0.1"})")));
+}
+
 TEST(ServeState, RepliesAreDeterministic) {
   const ServeState state = make_state();
   const std::string request = R"({"op":"lookup","q":"10.1.0.1"})";

@@ -32,7 +32,8 @@ for stage in "${STAGES[@]}"; do
       cmake --build --preset default -j "${JOBS}"
       ctest --test-dir build --output-on-failure -j "${JOBS}"
       # Propagation micro-bench smoke: one iteration of each BM_* so the
-      # policy-engine benchmark harness cannot rot (numbers are not
+      # policy-engine benchmark harness, which drives RouteTable and its
+      # propagation scratch directly, cannot rot (numbers are not
       # asserted here; run build/bench/perf_propagate for real timings).
       ./build/bench/perf_propagate --benchmark_min_time=0.01
       ;;
@@ -51,6 +52,8 @@ for stage in "${STAGES[@]}"; do
       ctest --test-dir build -L vp_smoke --output-on-failure -j "${JOBS}"
       ;;
     asan)
+      # asan_smoke covers the decoder-hostile suites, the streamed
+      # analysis and the propagation/sanitize oracles (tests/CMakeLists.txt).
       configure asan build-asan
       cmake --build --preset asan -j "${JOBS}"
       ctest --test-dir build-asan -L asan_smoke --output-on-failure -j "${JOBS}"
