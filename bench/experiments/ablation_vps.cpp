@@ -4,7 +4,6 @@
 //
 // Atoms computed from k peers can only coarsen as k shrinks (a refinement
 // property the test suite proves); this experiment quantifies the curve.
-#include "bgp/archive.h"
 #include "core/sanitize.h"
 #include "core/stats.h"
 #include "experiments/common.h"
@@ -36,8 +35,8 @@ void run(Context& ctx) {
   bool monotone = true;
   for (std::size_t k : {1ul, 2ul, 4ul, 8ul, 16ul, 32ul, total_peers}) {
     if (k > total_peers) break;
-    // Truncate the peer set (archive round-trip keeps pool ids aligned).
-    bgp::Dataset ds = bgp::read_archive(bgp::write_archive(full_ds));
+    // Truncate the peer set of a copy (the pools copy with their ids).
+    bgp::Dataset ds = full_ds;
     ds.snapshots[0].peers.resize(k);
     const auto snap = core::sanitize(ds, 0, lax);
     const auto atoms = core::compute_atoms(snap);

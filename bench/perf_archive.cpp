@@ -1,11 +1,11 @@
 // Microbenchmarks for BGA archive serialization and the record readers:
-// v1 vs v2 write/read throughput, and the streaming reader's bounded peak
-// memory (the `peak_buffer_bytes` / `image_bytes` counters — the streaming
-// read should hold only a small fraction of the file at once).
+// write/read throughput, and the streaming reader's bounded peak memory
+// (the `peak_buffer_bytes` / `image_bytes` counters — the streaming read
+// should hold only a small fraction of the file at once).
 //
 // `perf_archive --rss-guard` skips the benchmarks and runs the streaming
 // residency regression guard instead (registered as the
-// perf_archive_rss_guard ctest): it streams v2 archives with 2 and 8
+// perf_archive_rss_guard ctest): it streams archives with 2 and 8
 // snapshot sections through bgp::ArchiveView and fails if the peak
 // resident record count ever exceeds one snapshot section plus one update
 // chunk, or grows with the number of snapshots in the archive.
@@ -31,7 +31,7 @@ using namespace bgpatoms;
 namespace {
 
 /// A multi-snapshot campaign: RIB at t0, an hour of updates, then two more
-/// captures — so the v2 image has several snapshot sections and update
+/// captures — so the image has several snapshot sections and update
 /// chunks for the streaming benches to walk.
 const bgp::Dataset& dataset() {
   static const bgp::Dataset ds = [] {
@@ -48,22 +48,19 @@ const bgp::Dataset& dataset() {
   return ds;
 }
 
-/// Temp file holding the dataset in the requested version.
-std::string archive_file(bgp::ArchiveVersion version) {
+/// Temp file holding the dataset.
+std::string archive_file() {
   const auto path =
-      (std::filesystem::temp_directory_path() /
-       (version == bgp::ArchiveVersion::kV1 ? "perf_archive_v1.bga"
-                                            : "perf_archive_v2.bga"))
-          .string();
-  bgp::write_archive_file(dataset(), path, version);
+      (std::filesystem::temp_directory_path() / "perf_archive.bga").string();
+  bgp::write_archive_file(dataset(), path);
   return path;
 }
 
-void bench_write(benchmark::State& state, bgp::ArchiveVersion version) {
+void BM_ArchiveWrite(benchmark::State& state) {
   const auto& ds = dataset();
   std::size_t bytes = 0;
   for (auto _ : state) {
-    const auto image = bgp::write_archive(ds, version);
+    const auto image = bgp::write_archive(ds);
     bytes = image.size();
     benchmark::DoNotOptimize(image.data());
   }
@@ -71,19 +68,10 @@ void bench_write(benchmark::State& state, bgp::ArchiveVersion version) {
                           static_cast<std::int64_t>(bytes));
   state.counters["archive_bytes"] = static_cast<double>(bytes);
 }
+BENCHMARK(BM_ArchiveWrite)->Unit(benchmark::kMillisecond);
 
-void BM_ArchiveWriteV1(benchmark::State& state) {
-  bench_write(state, bgp::ArchiveVersion::kV1);
-}
-BENCHMARK(BM_ArchiveWriteV1)->Unit(benchmark::kMillisecond);
-
-void BM_ArchiveWriteV2(benchmark::State& state) {
-  bench_write(state, bgp::ArchiveVersion::kV2);
-}
-BENCHMARK(BM_ArchiveWriteV2)->Unit(benchmark::kMillisecond);
-
-void bench_read(benchmark::State& state, bgp::ArchiveVersion version) {
-  const auto image = bgp::write_archive(dataset(), version);
+void BM_ArchiveRead(benchmark::State& state) {
+  const auto image = bgp::write_archive(dataset());
   for (auto _ : state) {
     const auto ds = bgp::read_archive(image);
     benchmark::DoNotOptimize(ds.snapshots.size());
@@ -91,22 +79,13 @@ void bench_read(benchmark::State& state, bgp::ArchiveVersion version) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(image.size()));
 }
-
-void BM_ArchiveReadV1(benchmark::State& state) {
-  bench_read(state, bgp::ArchiveVersion::kV1);
-}
-BENCHMARK(BM_ArchiveReadV1)->Unit(benchmark::kMillisecond);
-
-void BM_ArchiveReadV2(benchmark::State& state) {
-  bench_read(state, bgp::ArchiveVersion::kV2);
-}
-BENCHMARK(BM_ArchiveReadV2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArchiveRead)->Unit(benchmark::kMillisecond);
 
 /// Streaming read off disk, section at a time. The peak_buffer_bytes
-/// counter is the reader's transient high-water mark: for v2 it stays well
-/// below image_bytes (one section), for v1 it equals the image.
-void bench_stream_read(benchmark::State& state, bgp::ArchiveVersion version) {
-  const auto path = archive_file(version);
+/// counter is the reader's transient high-water mark: one section, well
+/// below image_bytes.
+void BM_ArchiveStreamRead(benchmark::State& state) {
+  const auto path = archive_file();
   std::uint64_t peak = 0, file_bytes = 0;
   std::size_t snaps = 0, updates = 0;
   for (auto _ : state) {
@@ -131,16 +110,7 @@ void bench_stream_read(benchmark::State& state, bgp::ArchiveVersion version) {
   state.counters["update_records"] = static_cast<double>(updates);
   std::filesystem::remove(path);
 }
-
-void BM_ArchiveStreamReadV1(benchmark::State& state) {
-  bench_stream_read(state, bgp::ArchiveVersion::kV1);
-}
-BENCHMARK(BM_ArchiveStreamReadV1)->Unit(benchmark::kMillisecond);
-
-void BM_ArchiveStreamReadV2(benchmark::State& state) {
-  bench_stream_read(state, bgp::ArchiveVersion::kV2);
-}
-BENCHMARK(BM_ArchiveStreamReadV2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArchiveStreamRead)->Unit(benchmark::kMillisecond);
 
 void BM_StreamReader(benchmark::State& state) {
   const auto& ds = dataset();
@@ -161,7 +131,7 @@ BENCHMARK(BM_StreamReader)->Unit(benchmark::kMillisecond);
 
 /// End-to-end: records straight off the file through FileRecordReader.
 void BM_FileRecordReader(benchmark::State& state) {
-  const auto path = archive_file(bgp::ArchiveVersion::kV2);
+  const auto path = archive_file();
   std::size_t records = 0;
   double peak_share = 0;
   for (auto _ : state) {
@@ -268,10 +238,8 @@ int run_rss_guard() {
   // Scoped so the materialized datasets are freed before streaming — the
   // guard measures the streamed path, not the generator.
   {
-    bgp::write_archive_file(guard_dataset(2), small_path,
-                            bgp::ArchiveVersion::kV2);
-    bgp::write_archive_file(guard_dataset(8), large_path,
-                            bgp::ArchiveVersion::kV2);
+    bgp::write_archive_file(guard_dataset(2), small_path);
+    bgp::write_archive_file(guard_dataset(8), large_path);
   }
   const long rss_after_build_kb = peak_rss_kb();
 
@@ -303,10 +271,10 @@ int run_rss_guard() {
   // largest section, never the section count.
   check(s8.peak_resident_records * 4 <= s2.peak_resident_records * 5,
         "peak residency does not scale with snapshot count");
-  // Byte-level: the v2 streaming buffer holds one framed section, a small
+  // Byte-level: the streaming buffer holds one framed section, a small
   // share of the file once several sections exist.
   check(s8.peak_buffer_bytes * 2 < s8.file_bytes,
-        "v2 stream buffer stays well below the file size");
+        "stream buffer stays well below the file size");
 
   if (failures) {
     std::printf("rss-guard: %d check(s) FAILED\n", failures);

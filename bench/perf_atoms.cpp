@@ -52,22 +52,6 @@ void BM_ComputeAtoms(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeAtoms)->Unit(benchmark::kMillisecond);
 
-void BM_ComputeAtomsReference(benchmark::State& state) {
-  // The historical CSR kernel, kept as the oracle: the gap between this
-  // and BM_ComputeAtoms is the SoA signature-matrix speedup.
-  const auto& snap = campaign().sanitized.front();
-  std::size_t atoms = 0;
-  for (auto _ : state) {
-    const auto set = core::compute_atoms_reference(snap);
-    atoms = set.atoms.size();
-    benchmark::DoNotOptimize(atoms);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(snap.prefixes.size()));
-  state.counters["atoms"] = static_cast<double>(atoms);
-}
-BENCHMARK(BM_ComputeAtomsReference)->Unit(benchmark::kMillisecond);
-
 void BM_SignatureMatrixBuild(benchmark::State& state) {
   // Matrix fill alone (no hashing/grouping): the substrate for
   // incremental atom maintenance (ROADMAP item 2).

@@ -8,7 +8,7 @@
 //   bga_atoms q1.bga q2.bga q3.bga --trend       # longitudinal run
 //
 // Archives are never materialized: sections stream through
-// bgp::ArchiveView into core::analyze(), so a v2 archive is processed
+// bgp::ArchiveView into core::analyze(), so an archive is processed
 // with at most one snapshot section plus one update chunk resident —
 // peak memory is bounded by the largest section, not the file.
 #include <climits>
@@ -52,10 +52,6 @@ constexpr char kUsage[] =
     "                       is flag > BGPATOMS_THREADS > all hardware\n"
     "                       threads (report/options.h); results are\n"
     "                       identical for any count\n"
-    "  --kernel <k>         atom kernel: 'soa' (default, structure-of-\n"
-    "                       arrays signature matrix) or 'reference' (the\n"
-    "                       historical CSR kernel); output is bit-\n"
-    "                       identical either way\n"
     "  --vp-budget <n>      greedily select at most n vantage points on\n"
     "                       the reference snapshot (core::select_vps) and\n"
     "                       compute atoms from only those columns; later\n"
@@ -127,14 +123,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-
-  const std::string kernel = args.get("kernel", "soa");
-  if (kernel != "soa" && kernel != "reference") {
-    std::fprintf(stderr, "error: --kernel expects 'soa' or 'reference', "
-                 "got '%s'\n", kernel.c_str());
-    return 2;
-  }
-  config.atoms.use_reference_kernel = kernel == "reference";
 
   const auto index = static_cast<std::size_t>(
       args.get_int("snapshot", 0, 0, std::numeric_limits<long>::max()));

@@ -5,7 +5,7 @@
 //   bga_dump campaign.bga --peers          # per-peer table statistics
 //   bga_dump campaign.bga --collector rrc00 --peer-asn 64496 --text
 //
-// All modes stream the archive through bgp::ArchiveReader: a v2 file is
+// All modes stream the archive through bgp::ArchiveReader: the file is
 // decoded one CRC-checked section at a time, so even a multi-GB archive
 // needs only dictionary + one-section memory and --text starts printing
 // before the file tail is read.
@@ -50,7 +50,7 @@ struct MetricsAtExit {
 };
 
 void print_summary(bgp::ArchiveReader& reader) {
-  std::printf("format:      BGA v%d\n", static_cast<int>(reader.version()));
+  std::printf("format:      BGA v2\n");
   std::printf("family:      IPv%d\n",
               reader.family() == net::Family::kIPv4 ? 4 : 6);
   std::printf("collectors:  %zu (", reader.collectors().size());

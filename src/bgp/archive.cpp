@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "bgp/archive_format.h"
@@ -265,31 +264,6 @@ namespace {
 
 using namespace archive_detail;
 
-std::vector<std::uint8_t> write_archive_v1(const Dataset& ds) {
-  ByteWriter w;
-  w.bytes(kMagicV1, 4);
-  w.u8(static_cast<std::uint8_t>(ds.family));
-
-  encode_collectors(w, ds);
-  encode_paths(w, ds);
-  encode_prefixes(w, ds);
-  encode_communities(w, ds);
-
-  w.varint(ds.snapshots.size());
-  for (const auto& snap : ds.snapshots) encode_snapshot(w, snap);
-
-  encode_updates(w, ds.updates, 0, ds.updates.size());
-
-  auto buf = w.take();
-  const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(buf.data(), buf.size()));
-  ByteWriter tail;
-  tail.u32(crc);
-  const auto& t = tail.buffer();
-  buf.insert(buf.end(), t.begin(), t.end());
-  return buf;
-}
-
 void append_section(std::vector<std::uint8_t>& out, Section id,
                     ByteWriter&& payload) {
   const auto body = payload.take();
@@ -305,7 +279,9 @@ void append_section(std::vector<std::uint8_t>& out, Section id,
   out.insert(out.end(), t.begin(), t.end());
 }
 
-std::vector<std::uint8_t> write_archive_v2(const Dataset& ds) {
+}  // namespace
+
+std::vector<std::uint8_t> write_archive(const Dataset& ds) {
   std::vector<std::uint8_t> out;
   out.reserve(64);
   for (char c : kMagicV2) out.push_back(static_cast<std::uint8_t>(c));
@@ -342,144 +318,8 @@ std::vector<std::uint8_t> write_archive_v2(const Dataset& ds) {
   return out;
 }
 
-Dataset read_archive_v1(std::span<const std::uint8_t> image) {
-  if (image.size() < 9) throw ArchiveError("archive too small");
-  const std::size_t body_len = image.size() - 4;
-  const std::uint32_t stored_crc = [&] {
-    ByteReader r(image.subspan(body_len));
-    return r.u32();
-  }();
-  if (crc32(image.subspan(0, body_len)) != stored_crc)
-    throw ArchiveError("CRC mismatch");
-
-  ByteReader r(image.subspan(0, body_len));
-  char magic[4];
-  r.bytes(magic, 4);
-
-  Dataset ds;
-  const std::uint8_t fam = r.u8();
-  if (fam != 4 && fam != 6) throw ArchiveError("bad family");
-  ds.family = fam == 4 ? net::Family::kIPv4 : net::Family::kIPv6;
-
-  decode_collectors(r, ds);
-  decode_paths(r, ds);
-  decode_prefixes(r, ds);
-  decode_communities(r, ds);
-
-  const std::uint64_t nsnap =
-      checked_count(r, r.varint(), kMinSnapshotBytes, "snapshots");
-  ds.snapshots.reserve(nsnap);
-  for (std::uint64_t i = 0; i < nsnap; ++i)
-    ds.snapshots.push_back(decode_snapshot(r, ds));
-
-  ds.updates = decode_updates(r, ds);
-
-  if (!r.at_end()) throw ArchiveError("trailing bytes in archive");
-  return ds;
-}
-
-/// Walks one v2 section frame in `image` starting at `pos`; returns the
-/// CRC-verified payload and advances `pos` past the frame.
-struct SectionView {
-  Section id = Section::kEnd;
-  std::span<const std::uint8_t> payload;
-};
-
-SectionView next_section(std::span<const std::uint8_t> image,
-                         std::size_t& pos) {
-  ByteReader header(image.subspan(pos));
-  const auto id = header.u8();
-  if (id > static_cast<std::uint8_t>(Section::kUpdates))
-    throw ArchiveError("unknown section id");
-  const std::uint64_t len = header.u64();
-  pos += header.position();
-  if (len > image.size() - pos) throw ArchiveError("truncated archive");
-  const auto payload = image.subspan(pos, len);
-  pos += len;
-  ByteReader tail(image.subspan(pos));
-  const std::uint32_t stored_crc = tail.u32();
-  pos += tail.position();
-  if (crc32(payload) != stored_crc) throw ArchiveError("section CRC mismatch");
-  return {static_cast<Section>(id), payload};
-}
-
-Dataset read_archive_v2(std::span<const std::uint8_t> image) {
-  if (image.size() < 9) throw ArchiveError("archive too small");
-  const std::uint32_t head_crc = [&] {
-    ByteReader r(image.subspan(5));
-    return r.u32();
-  }();
-  if (crc32(image.subspan(0, 5)) != head_crc)
-    throw ArchiveError("header CRC mismatch");
-
-  Dataset ds;
-  const std::uint8_t fam = image[4];
-  if (fam != 4 && fam != 6) throw ArchiveError("bad family");
-  ds.family = fam == 4 ? net::Family::kIPv4 : net::Family::kIPv6;
-
-  std::size_t pos = 9;
-  // Dictionary sections, fixed order.
-  constexpr Section dict_order[] = {Section::kCollectors, Section::kPaths,
-                                    Section::kPrefixes, Section::kCommunities};
-  for (Section expect : dict_order) {
-    const auto s = next_section(image, pos);
-    if (s.id != expect) throw ArchiveError("section out of order");
-    ByteReader r(s.payload);
-    switch (expect) {
-      case Section::kCollectors: decode_collectors(r, ds); break;
-      case Section::kPaths: decode_paths(r, ds); break;
-      case Section::kPrefixes: decode_prefixes(r, ds); break;
-      default: decode_communities(r, ds); break;
-    }
-    if (!r.at_end()) throw ArchiveError("trailing bytes in section");
-  }
-
-  bool saw_updates = false;
-  for (;;) {
-    const auto s = next_section(image, pos);
-    if (s.id == Section::kEnd) {
-      if (!s.payload.empty()) throw ArchiveError("non-empty end section");
-      break;
-    }
-    ByteReader r(s.payload);
-    if (s.id == Section::kSnapshot) {
-      if (saw_updates) throw ArchiveError("section out of order");
-      ds.snapshots.push_back(decode_snapshot(r, ds));
-    } else if (s.id == Section::kUpdates) {
-      saw_updates = true;
-      auto chunk = decode_updates(r, ds);
-      ds.updates.insert(ds.updates.end(),
-                        std::make_move_iterator(chunk.begin()),
-                        std::make_move_iterator(chunk.end()));
-    } else {
-      throw ArchiveError("section out of order");
-    }
-    if (!r.at_end()) throw ArchiveError("trailing bytes in section");
-  }
-  if (pos != image.size()) throw ArchiveError("trailing bytes in archive");
-  return ds;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> write_archive(const Dataset& ds,
-                                        ArchiveVersion version) {
-  return version == ArchiveVersion::kV1 ? write_archive_v1(ds)
-                                        : write_archive_v2(ds);
-}
-
-Dataset read_archive(std::span<const std::uint8_t> image) {
-  if (image.size() < 5) throw ArchiveError("archive too small");
-  if (std::memcmp(image.data(), kMagicV2, 4) == 0)
-    return read_archive_v2(image);
-  if (std::memcmp(image.data(), kMagicV1, 4) == 0)
-    return read_archive_v1(image);
-  throw ArchiveError("bad magic");
-}
-
-void write_archive_file(const Dataset& ds, const std::string& path,
-                        ArchiveVersion version) {
-  const auto image = write_archive(ds, version);
+void write_archive_file(const Dataset& ds, const std::string& path) {
+  const auto image = write_archive(ds);
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "wb"), &std::fclose);
   if (!f) throw ArchiveError("cannot open for writing: " + path);

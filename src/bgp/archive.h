@@ -4,25 +4,19 @@
 // files are to ours — the durable on-disk form of RIB snapshots + update
 // streams that the stream layer and analysis tools consume.
 //
-// Two wire versions, auto-detected by magic on read:
-//
-//   v1  "BGA1": one flat body (collectors, dictionaries, snapshots,
-//       updates) followed by a single whole-image CRC-32. Legacy; the
-//       reader stays fully compatible and round-trips v1 byte-identically.
-//
-//   v2  "BGA2": a CRC-guarded header (magic, family), then the same payload
-//       encodings split into framed sections
-//       (id u8, length u64 LE, payload, CRC-32 of the payload) — one
-//       section per dictionary, one per snapshot, updates in self-contained
-//       chunks, then an empty end section. Per-section lengths and CRCs let
-//       ArchiveReader (archive_reader.h) decode a multi-GB file section at
-//       a time with bounded peak memory, and localize corruption instead of
-//       failing only after hashing the whole image.
+// Wire format "BGA2": a CRC-guarded header (magic, family), then framed
+// sections (id u8, length u64 LE, payload, CRC-32 of the payload) — one
+// section per dictionary, one per snapshot, updates in self-contained
+// chunks, then an empty end section (layout in archive_format.h).
+// Per-section lengths and CRCs let ArchiveReader (archive_reader.h) decode
+// a multi-GB file section at a time with bounded peak memory, and localize
+// corruption instead of failing only after hashing the whole image.
 //
 // write/read round-trips exactly: pools keep their ids, record order is
-// preserved. Readers throw ArchiveError on any structural or CRC problem,
-// validate every decoded count against the bytes actually remaining before
-// reserving memory, and never read out of bounds on hostile input.
+// preserved. The reader throws ArchiveError on any structural or CRC
+// problem, validates every decoded count against the bytes actually
+// remaining before reserving memory, and never reads out of bounds on
+// hostile input.
 #pragma once
 
 #include <cstdint>
@@ -35,21 +29,17 @@
 
 namespace bgpatoms::bgp {
 
-enum class ArchiveVersion : int { kV1 = 1, kV2 = 2 };
+/// Serializes `ds` to an in-memory BGA image.
+std::vector<std::uint8_t> write_archive(const Dataset& ds);
 
-/// Serializes `ds` to an in-memory BGA image (v2 unless asked otherwise).
-std::vector<std::uint8_t> write_archive(
-    const Dataset& ds, ArchiveVersion version = ArchiveVersion::kV2);
-
-/// Parses a BGA image, either version. Throws ArchiveError on malformed
-/// input.
+/// Parses a BGA image through the same ArchiveReader that decodes files.
+/// Throws ArchiveError on malformed input.
 Dataset read_archive(std::span<const std::uint8_t> image);
 
 /// File convenience wrappers. Throw ArchiveError on I/O failure. Reading
-/// goes through the streaming ArchiveReader (64-bit offsets, checked I/O;
-/// bounded peak memory for v2 files).
-void write_archive_file(const Dataset& ds, const std::string& path,
-                        ArchiveVersion version = ArchiveVersion::kV2);
+/// goes through the streaming ArchiveReader (64-bit offsets, checked I/O,
+/// bounded peak memory).
+void write_archive_file(const Dataset& ds, const std::string& path);
 Dataset read_archive_file(const std::string& path);
 
 }  // namespace bgpatoms::bgp

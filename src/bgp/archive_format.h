@@ -1,6 +1,6 @@
-// Internal shared pieces of the BGA format: magics, v2 section framing, and
-// the per-section encode/decode routines used by both the in-memory codec
-// (archive.cpp) and the streaming file reader (archive_reader.cpp).
+// Internal shared pieces of the BGA format: magic, section framing, and
+// the per-section encode/decode routines used by both the writer
+// (archive.cpp) and ArchiveReader (archive_reader.cpp).
 //
 // Not part of the public API — include archive.h / archive_reader.h instead.
 #pragma once
@@ -13,7 +13,6 @@
 
 namespace bgpatoms::bgp::archive_detail {
 
-inline constexpr char kMagicV1[4] = {'B', 'G', 'A', '1'};
 inline constexpr char kMagicV2[4] = {'B', 'G', 'A', '2'};
 
 /// v2 section ids. After the 9-byte header (magic + family + CRC-32 of
@@ -53,7 +52,6 @@ inline constexpr std::size_t kMinCommunityBytes = 1;
 inline constexpr std::size_t kMinRibRecordBytes = 4;
 inline constexpr std::size_t kMinUpdateBytes = 7;
 inline constexpr std::size_t kMinPrefixIdBytes = 1;
-inline constexpr std::size_t kMinSnapshotBytes = 2;
 
 inline std::size_t min_prefix_entry_bytes(net::Family f) {
   return f == net::Family::kIPv4 ? 5 : 17;

@@ -1,8 +1,8 @@
 #include "bgp/archive_reader.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <span>
 
 #include "bgp/archive_format.h"
@@ -20,30 +20,20 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
 
   file_.reset(std::fopen(path.c_str(), "rb"));
   if (!file_) throw ArchiveError("cannot open for reading: " + path);
+  read_header();
+}
 
+ArchiveReader::ArchiveReader(std::span<const std::uint8_t> image)
+    : image_(image), file_size_(image.size()) {
+  read_header();
+}
+
+void ArchiveReader::read_header() {
   std::uint8_t head[5];
   if (file_size_ < sizeof head) throw ArchiveError("archive too small");
   read_exact(head, sizeof head);
-
-  if (std::memcmp(head, kMagicV1, 4) == 0) {
-    // v1 has one CRC over the whole image: no way to verify anything
-    // without reading it all, so fall back to the in-memory decoder.
-    version_ = ArchiveVersion::kV1;
-    if (file_size_ > std::numeric_limits<std::size_t>::max())
-      throw ArchiveError("archive too large for this platform");
-    std::vector<std::uint8_t> image(static_cast<std::size_t>(file_size_));
-    std::memcpy(image.data(), head, sizeof head);
-    read_exact(image.data() + sizeof head, image.size() - sizeof head);
-    peak_buffer_ = image.size();
-    OBS_COUNT("archive.v1_image_loads");
-    OBS_COUNT_N("archive.bytes_decoded", image.size());
-    OBS_COUNT("archive.crc_checks");  // v1: one CRC over the whole image
-    header_ = read_archive(image);
-    return;
-  }
   if (std::memcmp(head, kMagicV2, 4) != 0) throw ArchiveError("bad magic");
 
-  version_ = ArchiveVersion::kV2;
   std::uint8_t head_crc_bytes[4];
   read_exact(head_crc_bytes, sizeof head_crc_bytes);
   std::uint32_t head_crc = 0;
@@ -75,6 +65,12 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
 }
 
 void ArchiveReader::read_exact(void* out, std::size_t n) {
+  if (!file_) {
+    if (n > file_size_ - offset_) throw ArchiveError("truncated archive");
+    std::copy_n(image_.data() + offset_, n, static_cast<std::uint8_t*>(out));
+    offset_ += n;
+    return;
+  }
   auto* p = static_cast<std::uint8_t*>(out);
   while (n > 0) {
     const std::size_t got = std::fread(p, 1, n, file_.get());
@@ -123,15 +119,6 @@ void ArchiveReader::finish_end_section() {
 std::optional<Snapshot> ArchiveReader::next_snapshot() {
   if (phase_ != Phase::kSnapshots) return std::nullopt;
 
-  if (version_ == ArchiveVersion::kV1) {
-    if (v1_snap_ < header_.snapshots.size()) {
-      OBS_COUNT("archive.snapshots_decoded");
-      return std::move(header_.snapshots[v1_snap_++]);
-    }
-    phase_ = Phase::kUpdates;
-    return std::nullopt;
-  }
-
   std::vector<std::uint8_t> payload;
   const std::uint8_t id = read_section(payload);
   if (id == static_cast<std::uint8_t>(Section::kSnapshot)) {
@@ -151,14 +138,6 @@ std::optional<std::vector<UpdateRecord>> ArchiveReader::next_updates() {
   if (phase_ == Phase::kSnapshots)
     throw ArchiveError("snapshots not fully consumed");
   if (phase_ == Phase::kDone) return std::nullopt;
-
-  if (version_ == ArchiveVersion::kV1) {
-    phase_ = Phase::kDone;
-    if (header_.updates.empty()) return std::nullopt;
-    OBS_COUNT("archive.update_chunks");
-    OBS_COUNT_N("archive.update_records_decoded", header_.updates.size());
-    return std::move(header_.updates);
-  }
 
   std::vector<std::uint8_t> payload;
   std::uint8_t id;
@@ -202,8 +181,11 @@ Dataset ArchiveReader::read_all() {
 }
 
 Dataset read_archive_file(const std::string& path) {
-  ArchiveReader reader(path);
-  return reader.read_all();
+  return ArchiveReader(path).read_all();
+}
+
+Dataset read_archive(std::span<const std::uint8_t> image) {
+  return ArchiveReader(image).read_all();
 }
 
 }  // namespace bgpatoms::bgp

@@ -1,11 +1,11 @@
-// Streaming reader for BGA archive files.
+// Streaming reader for BGA archives, and the only BGA decoder.
 //
 // Motivation: two decades of RIB+update campaigns produce multi-GB archives;
-// the whole-image read path (read_archive) would buffer the entire file and
-// the decoded dataset simultaneously. ArchiveReader decodes a v2 file one
-// CRC-checked section at a time through buffered 64-bit file I/O, so peak
-// transient memory is the dictionary header plus one section — consumers can
-// start working on the first snapshot before the tail of the file is read.
+// buffering the entire file next to the decoded dataset would double peak
+// memory. ArchiveReader decodes one CRC-checked section at a time through
+// buffered 64-bit file I/O, so peak transient memory is the dictionary
+// header plus one section — consumers can start working on the first
+// snapshot before the tail of the file is read.
 //
 // Usage:
 //
@@ -16,11 +16,8 @@
 //
 // Snapshots must be drained before updates (the on-disk order). read_all()
 // on a fresh reader reconstructs the full Dataset, which is how the
-// whole-file convenience API (read_archive_file) is implemented.
-//
-// v1 files ("BGA1") are fully supported: the reader falls back to loading
-// the image — v1's single whole-image CRC makes true streaming impossible —
-// and then serves the same section-at-a-time interface.
+// whole-archive convenience API (read_archive_file, and read_archive over
+// an in-memory image) is implemented.
 //
 // All methods throw ArchiveError on malformed input or I/O failure.
 #pragma once
@@ -29,6 +26,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,8 +38,10 @@ namespace bgpatoms::bgp {
 class ArchiveReader {
  public:
   explicit ArchiveReader(const std::string& path);
+  /// Decodes an in-memory image instead of a file; `image` must outlive
+  /// the reader.
+  explicit ArchiveReader(std::span<const std::uint8_t> image);
 
-  ArchiveVersion version() const { return version_; }
   net::Family family() const { return header_.family; }
   const std::vector<std::string>& collectors() const {
     return header_.collectors;
@@ -62,12 +62,12 @@ class ArchiveReader {
   /// the reader's dictionaries are moved out and it must not be used after.
   Dataset read_all();
 
-  /// Total file size in bytes (64-bit safe).
+  /// Total archive size in bytes (64-bit safe).
   std::uint64_t file_bytes() const { return file_size_; }
 
   /// High-water mark of the transient decode buffer: the largest section
-  /// payload for v2, the whole image for v1. The bounded-peak-memory
-  /// evidence reported by bench/perf_archive.
+  /// payload. The bounded-peak-memory evidence reported by
+  /// bench/perf_archive.
   std::uint64_t peak_buffer_bytes() const { return peak_buffer_; }
 
  private:
@@ -79,27 +79,25 @@ class ArchiveReader {
     }
   };
 
+  /// Checks the header and decodes the four dictionary sections.
+  void read_header();
   void read_exact(void* out, std::size_t n);
   /// Reads one section frame; verifies the payload CRC. Returns the id.
   std::uint8_t read_section(std::vector<std::uint8_t>& payload);
   void finish_end_section();
 
-  std::unique_ptr<std::FILE, FileCloser> file_;
+  std::unique_ptr<std::FILE, FileCloser> file_;  // null: reading image_
+  std::span<const std::uint8_t> image_;
   std::string path_;
   std::uint64_t file_size_ = 0;
   std::uint64_t offset_ = 0;
   std::uint64_t peak_buffer_ = 0;
 
-  ArchiveVersion version_ = ArchiveVersion::kV2;
-  Dataset header_;  // dictionaries (and, for v1, the fully decoded records)
+  Dataset header_;  // dictionaries only
   Phase phase_ = Phase::kSnapshots;
 
   // One-slot pushback: the section that ended the snapshot run.
   std::optional<std::pair<std::uint8_t, std::vector<std::uint8_t>>> pending_;
-
-  // v1 cursors over header_'s decoded records.
-  std::size_t v1_snap_ = 0;
-  bool v1_updates_done_ = false;
 };
 
 }  // namespace bgpatoms::bgp

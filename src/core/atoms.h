@@ -8,10 +8,9 @@
 // Implementation: each prefix's signature is one row of a dense
 // structure-of-arrays matrix (num_prefixes x num_VPs of 32-bit cells, see
 // AtomSignatureMatrix); rows are hashed with a vectorizable lane mixer and
-// prefixes group by row equality (hash-sharded, equality-verified). The
-// original CSR-of-packed-entries kernel survives as
-// compute_atoms_reference(), the correctness oracle the SoA kernel is
-// tested bit-identical against.
+// prefixes group by row equality (hash-sharded, equality-verified).
+// tests/test_atoms_kernel.cpp checks the kernel against an independent
+// brute-force grouping.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +36,6 @@ struct AtomOptions {
   /// run_campaign() pins this to 1 because sweeps are already parallel at
   /// the job level. The result is bit-identical for any value.
   int threads = 0;
-  /// Route through the historical CSR kernel (compute_atoms_reference)
-  /// instead of the SoA matrix kernel. Output is bit-identical either
-  /// way; the flag exists for A/B verification and perf comparison.
-  bool use_reference_kernel = false;
   /// Group on only these vantage-point columns (indices into
   /// snapshot.vps, strictly ascending). Empty = all VPs. The output is
   /// bit-identical to running on a snapshot holding exactly the selected
@@ -54,7 +49,7 @@ struct AtomOptions {
 };
 
 /// Throws std::runtime_error when a snapshot exceeds the 32-bit packing
-/// limits both kernels rely on: VP indices and matrix cells (path id + 1)
+/// limits the kernel relies on: VP indices and matrix cells (path id + 1)
 /// must fit 32 bits. A plain assert here would compile out under NDEBUG
 /// and silently wrap; every kernel entry point calls this instead.
 void check_packing_limits(std::size_t vp_count, std::size_t path_count);
@@ -64,7 +59,7 @@ void check_packing_limits(std::size_t vp_count, std::size_t path_count);
 /// A cell stores interned-path-id + 1 so that 0 (`kAbsent`) means "this
 /// VP does not see the prefix" — the paper's empty-path convention —
 /// while keeping a route whose path *is* the interned empty path (id 0)
-/// distinguishable from absence, exactly as the CSR signatures did.
+/// distinguishable from absence.
 ///
 /// Rows are contiguous, so row hashing is a linear scan and equality is
 /// one memcmp; columns have fixed stride, so the planned incremental
@@ -77,8 +72,9 @@ class AtomSignatureMatrix {
 
   /// Builds the matrix for `snapshot`. When
   /// `options.strip_prepends_before_grouping` is set, paths are rewritten
-  /// through stripped_pool() (interned in first-encounter order, matching
-  /// the reference kernel's pool bit-for-bit). A non-empty
+  /// through stripped_pool(), interned VP-major in first-encounter order
+  /// (each selected table in column order, routes in prefix order). A
+  /// non-empty
   /// options.vp_subset restricts the matrix to those columns: num_vps()
   /// becomes the subset size and column j holds
   /// snapshot.vps[vp_subset[j]]'s table, bit-identical to building over a
@@ -190,16 +186,11 @@ class AtomCompositions {
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
 };
 
-/// Groups the snapshot's prefixes into policy atoms (SoA matrix kernel;
-/// honors options.use_reference_kernel).
+/// Groups the snapshot's prefixes into policy atoms (SoA matrix kernel).
+/// Atoms are ordered by their lowest prefix index; the output is
+/// bit-identical for any options.threads.
 AtomSet compute_atoms(const SanitizedSnapshot& snapshot,
                       const AtomOptions& options = {});
-
-/// The historical CSR-of-packed-entries kernel, kept as the correctness
-/// oracle: bit-identical output to compute_atoms() for every input and
-/// thread count (pinned by tests/test_atoms_kernel.cpp).
-AtomSet compute_atoms_reference(const SanitizedSnapshot& snapshot,
-                                const AtomOptions& options = {});
 
 namespace atoms_detail {
 

@@ -3,7 +3,7 @@
 // RecordReader (reader.h) walks a fully materialized bgp::Dataset;
 // FileRecordReader yields the same record stream — RIB rows snapshot by
 // snapshot, then update NLRIs in timestamp order — directly from a
-// bgp::ArchiveReader, so a multi-GB v2 archive is consumed section at a
+// bgp::ArchiveReader, so a multi-GB archive is consumed section at a
 // time and the first records are available before the file tail is read.
 // Peak memory is the archive's dictionaries plus one snapshot / one update
 // chunk.
@@ -24,7 +24,7 @@ namespace bgpatoms::stream {
 
 class FileRecordReader {
  public:
-  /// Opens `path` (v1 or v2 BGA). Throws bgp::ArchiveError on failure.
+  /// Opens the BGA file `path`. Throws bgp::ArchiveError on failure.
   explicit FileRecordReader(const std::string& path, Filters filters = {});
 
   /// Next matching record, or nullopt at end of stream. Throws
@@ -34,7 +34,7 @@ class FileRecordReader {
   /// Records yielded so far.
   std::size_t count() const { return count_; }
 
-  /// The underlying archive (dictionaries, version, peak buffer stats).
+  /// The underlying archive (dictionaries, peak buffer stats).
   const bgp::ArchiveReader& archive() const { return reader_; }
 
  private:

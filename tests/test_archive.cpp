@@ -1,15 +1,15 @@
-// Round-trip and corruption tests for the BGA archive format (v1 and v2)
-// and the streaming ArchiveReader.
+// Round-trip and corruption tests for the BGA archive format and
+// ArchiveReader, its one decoder, over files and in-memory images.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
 
 #include "bgp/archive.h"
 #include "bgp/archive_reader.h"
+#include "testutil.h"
 
 namespace bgpatoms::bgp {
 namespace {
+
+using test::TempFile;
 
 Dataset make_dataset() {
   Dataset ds;
@@ -84,28 +84,9 @@ TEST(Archive, RoundTrip) {
   const Dataset ds = make_dataset();
   const auto image = write_archive(ds);
   ASSERT_GE(image.size(), 4u);
-  EXPECT_EQ(image[3], '2');  // v2 is the default wire format
+  EXPECT_EQ(image[3], '2');  // the "BGA2" magic
   const Dataset back = read_archive(image);
   expect_equal(ds, back);
-}
-
-TEST(Archive, V1RoundTripByteIdentical) {
-  // Archives written before the v2 format existed must keep decoding, and
-  // re-encoding as v1 must reproduce them bit for bit.
-  const Dataset ds = make_dataset();
-  const auto v1 = write_archive(ds, ArchiveVersion::kV1);
-  ASSERT_GE(v1.size(), 4u);
-  EXPECT_EQ(v1[3], '1');
-  const Dataset back = read_archive(v1);
-  expect_equal(ds, back);
-  EXPECT_EQ(write_archive(back, ArchiveVersion::kV1), v1);
-}
-
-TEST(Archive, V1AndV2DecodeIdentically) {
-  const Dataset ds = make_dataset();
-  const Dataset from_v1 = read_archive(write_archive(ds, ArchiveVersion::kV1));
-  const Dataset from_v2 = read_archive(write_archive(ds, ArchiveVersion::kV2));
-  expect_equal(from_v1, from_v2);
 }
 
 TEST(Archive, RoundTripEmptyDataset) {
@@ -119,27 +100,22 @@ TEST(Archive, RoundTripEmptyDataset) {
 }
 
 TEST(Archive, DetectsBitFlip) {
-  for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    auto image = write_archive(make_dataset(), v);
-    for (std::size_t pos : {std::size_t{4}, std::size_t{5}, image.size() / 2,
-                            image.size() - 1}) {
-      auto corrupted = image;
-      corrupted[pos] ^= 0x40;
-      EXPECT_THROW(read_archive(corrupted), ArchiveError)
-          << "v" << static_cast<int>(v) << " pos " << pos;
-    }
+  const auto image = write_archive(make_dataset());
+  for (std::size_t pos : {std::size_t{4}, std::size_t{5}, image.size() / 2,
+                          image.size() - 1}) {
+    auto corrupted = image;
+    corrupted[pos] ^= 0x40;
+    EXPECT_THROW(read_archive(corrupted), ArchiveError) << "pos " << pos;
   }
 }
 
 TEST(Archive, DetectsTruncation) {
-  for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    const auto image = write_archive(make_dataset(), v);
-    EXPECT_THROW(read_archive(std::span<const std::uint8_t>(
-                     image.data(), image.size() - 1)),
-                 ArchiveError);
-    EXPECT_THROW(read_archive(std::span<const std::uint8_t>(image.data(), 4)),
-                 ArchiveError);
-  }
+  const auto image = write_archive(make_dataset());
+  EXPECT_THROW(read_archive(std::span<const std::uint8_t>(
+                   image.data(), image.size() - 1)),
+               ArchiveError);
+  EXPECT_THROW(read_archive(std::span<const std::uint8_t>(image.data(), 4)),
+               ArchiveError);
 }
 
 TEST(Archive, DetectsBadMagic) {
@@ -148,33 +124,17 @@ TEST(Archive, DetectsBadMagic) {
   EXPECT_THROW(read_archive(image), ArchiveError);
 }
 
-TEST(Archive, DetectsTrailingBytes) {
-  auto image = write_archive(make_dataset(), ArchiveVersion::kV1);
-  // Valid CRC over body, then append 4 bytes of a bogus second CRC: strip
-  // the real CRC, add a byte, recompute — reader must reject trailing data.
-  std::vector<std::uint8_t> body(image.begin(), image.end() - 4);
-  body.push_back(0);
-  const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(body.data(), body.size()));
-  for (int i = 0; i < 4; ++i) {
-    body.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  EXPECT_THROW(read_archive(body), ArchiveError);
-}
-
 TEST(Archive, DetectsTrailingBytesAfterV2EndSection) {
-  auto image = write_archive(make_dataset(), ArchiveVersion::kV2);
+  auto image = write_archive(make_dataset());
   image.push_back(0);
   EXPECT_THROW(read_archive(image), ArchiveError);
 }
 
 TEST(Archive, FileRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "bga_test.bga";
+  const TempFile file("bga_test.bga");
   const Dataset ds = make_dataset();
-  write_archive_file(ds, path.string());
-  const Dataset back = read_archive_file(path.string());
-  expect_equal(ds, back);
-  std::filesystem::remove(path);
+  write_archive_file(ds, file.path());
+  expect_equal(ds, read_archive_file(file.path()));
 }
 
 TEST(Archive, MissingFileThrows) {
@@ -217,24 +177,12 @@ Dataset make_two_snapshot_dataset() {
   return ds;
 }
 
-class TempFile {
- public:
-  explicit TempFile(const char* name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::filesystem::remove(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 TEST(ArchiveReader, StreamsSnapshotsThenUpdates) {
   const Dataset ds = make_two_snapshot_dataset();
   const TempFile file("bga_reader_v2.bga");
   write_archive_file(ds, file.path());
 
   ArchiveReader reader(file.path());
-  EXPECT_EQ(reader.version(), ArchiveVersion::kV2);
   EXPECT_EQ(reader.collectors(), ds.collectors);
   EXPECT_EQ(reader.prefixes().size(), ds.prefixes.size());
 
@@ -257,13 +205,27 @@ TEST(ArchiveReader, StreamsSnapshotsThenUpdates) {
 
 TEST(ArchiveReader, ReadAllMatchesDataset) {
   const Dataset ds = make_two_snapshot_dataset();
-  for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    const TempFile file("bga_reader_all.bga");
-    write_archive_file(ds, file.path(), v);
-    ArchiveReader reader(file.path());
-    EXPECT_EQ(reader.version(), v);
-    expect_equal(ds, reader.read_all());
-  }
+  const TempFile file("bga_reader_all.bga");
+  write_archive_file(ds, file.path());
+  ArchiveReader reader(file.path());
+  expect_equal(ds, reader.read_all());
+}
+
+TEST(ArchiveReader, InMemoryImageDecodesLikeTheFile) {
+  // read_archive(image) and read_archive_file(path) share one decoder;
+  // only the byte source differs, so both walk the same sections.
+  const Dataset ds = make_two_snapshot_dataset();
+  const auto image = write_archive(ds);
+  const TempFile file("bga_reader_mem.bga");
+  write_archive_file(ds, file.path());
+
+  ArchiveReader from_file(file.path());
+  ArchiveReader from_image(image);
+  EXPECT_EQ(from_image.file_bytes(), image.size());
+  EXPECT_EQ(from_image.file_bytes(), from_file.file_bytes());
+  expect_equal(from_file.read_all(), from_image.read_all());
+  EXPECT_EQ(from_image.peak_buffer_bytes(), from_file.peak_buffer_bytes());
+  EXPECT_LT(from_image.peak_buffer_bytes(), image.size());
 }
 
 TEST(ArchiveReader, UpdatesBeforeSnapshotsDrainedThrows) {
@@ -272,25 +234,6 @@ TEST(ArchiveReader, UpdatesBeforeSnapshotsDrainedThrows) {
   write_archive_file(ds, file.path());
   ArchiveReader reader(file.path());
   EXPECT_THROW(reader.next_updates(), ArchiveError);
-}
-
-TEST(ArchiveReader, V1FileStreamsIdentically) {
-  const Dataset ds = make_two_snapshot_dataset();
-  const TempFile file("bga_reader_v1.bga");
-  write_archive_file(ds, file.path(), ArchiveVersion::kV1);
-  ArchiveReader reader(file.path());
-  EXPECT_EQ(reader.version(), ArchiveVersion::kV1);
-  std::size_t nsnap = 0;
-  while (auto snap = reader.next_snapshot()) {
-    EXPECT_EQ(snap->peers.size(), ds.snapshots[nsnap].peers.size());
-    ++nsnap;
-  }
-  EXPECT_EQ(nsnap, ds.snapshots.size());
-  std::vector<UpdateRecord> updates;
-  while (auto chunk = reader.next_updates()) {
-    updates.insert(updates.end(), chunk->begin(), chunk->end());
-  }
-  EXPECT_EQ(updates, ds.updates);
 }
 
 TEST(ArchiveReader, LargeUpdateStreamSplitsIntoChunks) {

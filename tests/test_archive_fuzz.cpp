@@ -6,6 +6,8 @@
 // either throws ArchiveError or decodes a dataset identical to the
 // original (a CRC collision, ~2^-32 per mutant and deterministic here).
 // It must never crash, hang, read out of bounds, or allocate absurdly.
+// read_archive runs the same ArchiveReader that decodes files for every
+// CLI and ArchiveView, so the corpus exercises the production decoder.
 // Run it under the asan preset to get the full sanitizer guarantee.
 //
 // Also holds the ByteReader regression tests for the two decoder
@@ -21,6 +23,7 @@
 #include "bgp/archive_format.h"
 #include "bgp/archive_view.h"
 #include "core/analyze.h"
+#include "testutil.h"
 
 namespace bgpatoms::bgp {
 namespace {
@@ -216,32 +219,26 @@ void expect_reject_or_identical(std::span<const std::uint8_t> mutated,
 
 TEST(ArchiveFuzz, EveryTruncationThrows) {
   for (const auto& ds : corpus()) {
-    for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-      const auto image = write_archive(ds, v);
-      // A strict prefix can never be valid: v1 loses its trailing CRC, v2
-      // its end section.
-      const std::size_t stride = image.size() > 2048 ? 7 : 1;
-      for (std::size_t len = 0; len < image.size(); len += stride) {
-        EXPECT_THROW(
-            read_archive(std::span<const std::uint8_t>(image.data(), len)),
-            ArchiveError)
-            << "v" << static_cast<int>(v) << " len " << len;
-      }
+    const auto image = write_archive(ds);
+    // A strict prefix can never be valid: it loses the end section.
+    const std::size_t stride = image.size() > 2048 ? 7 : 1;
+    for (std::size_t len = 0; len < image.size(); len += stride) {
+      EXPECT_THROW(
+          read_archive(std::span<const std::uint8_t>(image.data(), len)),
+          ArchiveError)
+          << "len " << len;
     }
   }
 }
 
 TEST(ArchiveFuzz, EveryBitFlipRejectsOrDecodesIdentically) {
   for (const auto& ds : corpus()) {
-    const auto canonical = write_archive(ds);
-    for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-      const auto image = write_archive(ds, v);
-      const std::size_t stride = image.size() > 2048 ? 5 : 1;
-      for (std::size_t pos = 0; pos < image.size(); pos += stride) {
-        auto mutated = image;
-        mutated[pos] ^= static_cast<std::uint8_t>(1u << (pos % 8));
-        expect_reject_or_identical(mutated, canonical, "bit flip");
-      }
+    const auto image = write_archive(ds);
+    const std::size_t stride = image.size() > 2048 ? 5 : 1;
+    for (std::size_t pos = 0; pos < image.size(); pos += stride) {
+      auto mutated = image;
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << (pos % 8));
+      expect_reject_or_identical(mutated, image, "bit flip");
     }
   }
 }
@@ -249,46 +246,28 @@ TEST(ArchiveFuzz, EveryBitFlipRejectsOrDecodesIdentically) {
 TEST(ArchiveFuzz, RandomMutationsNeverCrash) {
   std::mt19937_64 rng(0x9E3779B97F4A7C15ULL);  // fixed seed: deterministic
   for (const auto& ds : corpus()) {
-    const auto canonical = write_archive(ds);
-    for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-      const auto image = write_archive(ds, v);
-      for (int round = 0; round < 300; ++round) {
-        auto mutated = image;
-        // 1-8 byte splices at random positions.
-        const int edits = 1 + static_cast<int>(rng() % 8);
-        for (int e = 0; e < edits; ++e) {
-          mutated[rng() % mutated.size()] =
-              static_cast<std::uint8_t>(rng() & 0xff);
-        }
-        expect_reject_or_identical(mutated, canonical, "random splice");
+    const auto image = write_archive(ds);
+    for (int round = 0; round < 300; ++round) {
+      auto mutated = image;
+      // 1-8 byte splices at random positions.
+      const int edits = 1 + static_cast<int>(rng() % 8);
+      for (int e = 0; e < edits; ++e) {
+        mutated[rng() % mutated.size()] =
+            static_cast<std::uint8_t>(rng() & 0xff);
       }
-      // Random truncation + tail garbage.
-      for (int round = 0; round < 100; ++round) {
-        auto mutated = image;
-        mutated.resize(rng() % image.size());
-        const int tail = static_cast<int>(rng() % 16);
-        for (int t = 0; t < tail; ++t) {
-          mutated.push_back(static_cast<std::uint8_t>(rng() & 0xff));
-        }
-        expect_reject_or_identical(mutated, canonical, "cut + garbage tail");
+      expect_reject_or_identical(mutated, image, "random splice");
+    }
+    // Random truncation + tail garbage.
+    for (int round = 0; round < 100; ++round) {
+      auto mutated = image;
+      mutated.resize(rng() % image.size());
+      const int tail = static_cast<int>(rng() % 16);
+      for (int t = 0; t < tail; ++t) {
+        mutated.push_back(static_cast<std::uint8_t>(rng() & 0xff));
       }
+      expect_reject_or_identical(mutated, image, "cut + garbage tail");
     }
   }
-}
-
-// --- hostile counts ---------------------------------------------------------
-// A CRC-valid image whose counts claim more records than the remaining
-// bytes could possibly hold must be rejected before any large reserve().
-
-/// Re-seals a v1 image after mutation: recomputes the trailing CRC.
-std::vector<std::uint8_t> reseal_v1(std::vector<std::uint8_t> body_and_crc) {
-  body_and_crc.resize(body_and_crc.size() - 4);
-  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(
-      body_and_crc.data(), body_and_crc.size()));
-  for (int i = 0; i < 4; ++i) {
-    body_and_crc.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  return body_and_crc;
 }
 
 // --- streamed-analysis path -------------------------------------------------
@@ -361,54 +340,39 @@ void expect_streamed_reject_or_identical(
 
 TEST(ArchiveFuzz, StreamedAnalysisRejectsOrMatchesOnMutants) {
   std::mt19937_64 rng(0xA5A5A5A5DEADBEEFULL);  // fixed seed: deterministic
-  const std::string path = testing::TempDir() + "fuzz_streamed.bga";
+  const test::TempFile file("fuzz_streamed.bga");
+  const std::string& path = file.path();
   for (const auto& ds : corpus()) {
     DatasetView mem(ds);
     const core::AnalysisResult want =
         core::analyze(mem, &mem, fuzz_analysis_config());
-    for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-      const auto image = write_archive(ds, v);
-      // Unmutated file: the streamed pass must reproduce the in-memory one.
-      expect_streamed_reject_or_identical(image, want, path, "identity");
-      // Random splices.
-      for (int round = 0; round < 40; ++round) {
-        auto mutated = image;
-        const int edits = 1 + static_cast<int>(rng() % 8);
-        for (int e = 0; e < edits; ++e) {
-          mutated[rng() % mutated.size()] =
-              static_cast<std::uint8_t>(rng() & 0xff);
-        }
-        expect_streamed_reject_or_identical(mutated, want, path,
-                                            "random splice");
+    const auto image = write_archive(ds);
+    // Unmutated file: the streamed pass must reproduce the in-memory one.
+    expect_streamed_reject_or_identical(image, want, path, "identity");
+    // Random splices.
+    for (int round = 0; round < 40; ++round) {
+      auto mutated = image;
+      const int edits = 1 + static_cast<int>(rng() % 8);
+      for (int e = 0; e < edits; ++e) {
+        mutated[rng() % mutated.size()] =
+            static_cast<std::uint8_t>(rng() & 0xff);
       }
-      // Truncations (always invalid: v1 loses its CRC, v2 its end marker,
-      // but the throw may only surface once the cursor reaches the cut).
-      for (int round = 0; round < 12; ++round) {
-        auto mutated = image;
-        mutated.resize(rng() % image.size());
-        expect_streamed_reject_or_identical(mutated, want, path,
-                                            "truncation");
-      }
+      expect_streamed_reject_or_identical(mutated, want, path,
+                                          "random splice");
+    }
+    // Truncations (always invalid: the end marker is lost, but the throw
+    // may only surface once the cursor reaches the cut).
+    for (int round = 0; round < 12; ++round) {
+      auto mutated = image;
+      mutated.resize(rng() % image.size());
+      expect_streamed_reject_or_identical(mutated, want, path, "truncation");
     }
   }
-  std::remove(path.c_str());
 }
 
-TEST(ArchiveFuzz, HostileUpdateCountIsRejectedBeforeAllocation) {
-  // tiny_dataset's v1 image ends ..., nsnap=0, nupd=0, crc. Replace the
-  // final 0x00 count with varint(2^60) and re-seal the CRC: decoding must
-  // throw "count exceeds input", not reserve a multi-exabyte vector.
-  const auto ds = tiny_dataset();
-  auto image = write_archive(ds, ArchiveVersion::kV1);
-  ASSERT_EQ(image[image.size() - 5], 0u);  // nupd == 0
-  image.erase(image.end() - 5);
-  ByteWriter w;
-  w.varint(std::uint64_t{1} << 60);
-  const auto enc = w.take();
-  image.insert(image.end() - 4, enc.begin(), enc.end());
-  image = reseal_v1(std::move(image));
-  EXPECT_THROW(read_archive(image), ArchiveError);
-}
+// --- hostile counts ---------------------------------------------------------
+// A CRC-valid image whose counts claim more records than the remaining
+// bytes could possibly hold must be rejected before any large reserve().
 
 /// Builds a hand-crafted v2 image: valid header, then CRC-sealed sections —
 /// only content validation can reject these.

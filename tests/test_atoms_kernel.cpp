@@ -1,14 +1,19 @@
-// SoA-vs-reference kernel equivalence and AtomSignatureMatrix unit tests.
+// SoA atom kernel vs an independent brute-force grouping, and
+// AtomSignatureMatrix unit tests.
 //
-// compute_atoms() (SoA matrix kernel) must reproduce
-// compute_atoms_reference() (the historical CSR kernel) field-for-field —
+// compute_atoms() must reproduce brute_force_atoms() field-for-field —
 // atom order, member order, per-VP paths, origin/MOAS flags, indexes and
 // the method-(i) rewrite pool — for every snapshot shape and any thread
-// count. These tests pin that contract on the edge cases the rewrite must
-// preserve.
+// count. The oracle shares no code with the kernel: no signature matrix,
+// no row hashing, no sharded merge — just an ordered map from each
+// prefix's per-VP (vp, path) signature to its members.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -19,6 +24,69 @@ namespace bgpatoms::core {
 namespace {
 
 using test::DatasetBuilder;
+
+/// Atoms straight from the definition (paper §2.1): prefixes with equal
+/// (vp, path) lists over the selected VPs share an atom; a VP that does
+/// not see a prefix is simply missing from its list.
+AtomSet brute_force_atoms(const SanitizedSnapshot& snap,
+                          const AtomOptions& options = {}) {
+  std::vector<std::uint32_t> cols = options.vp_subset;
+  if (cols.empty()) {
+    for (std::uint32_t v = 0; v < snap.vps.size(); ++v) cols.push_back(v);
+  }
+  AtomSet out;
+  out.snapshot = &snap;
+
+  // Method (i): stripped paths interned VP-major, first encounter first.
+  std::map<bgp::PathId, bgp::PathId> stripped;
+  if (options.strip_prepends_before_grouping) {
+    auto pool = std::make_shared<net::PathPool>();
+    for (std::uint32_t col : cols) {
+      for (const auto& [prefix, path] : snap.vps[col].routes) {
+        if (!stripped.count(path)) {
+          stripped[path] = pool->intern(snap.paths.get(path).stripped());
+        }
+      }
+    }
+    out.own_pool = pool;
+  }
+
+  using Signature = std::vector<std::pair<std::uint32_t, bgp::PathId>>;
+  std::map<bgp::PrefixId, Signature> signature;
+  for (std::uint32_t j = 0; j < cols.size(); ++j) {
+    for (const auto& [prefix, path] : snap.vps[cols[j]].routes) {
+      const bgp::PathId id = out.own_pool ? stripped.at(path) : path;
+      signature[prefix].emplace_back(j, id);
+    }
+  }
+  std::map<Signature, std::vector<std::size_t>> members;  // prefix indices
+  for (std::size_t i = 0; i < snap.prefixes.size(); ++i) {
+    members[signature[snap.prefixes[i]]].push_back(i);
+  }
+  std::vector<std::pair<std::vector<std::size_t>, Signature>> groups;
+  for (const auto& [sig, idx] : members) groups.emplace_back(idx, sig);
+  std::sort(groups.begin(), groups.end(), [](const auto& x, const auto& y) {
+    return x.first.front() < y.first.front();
+  });
+
+  for (const auto& [idx, sig] : groups) {
+    const auto a = static_cast<std::uint32_t>(out.atoms.size());
+    Atom& atom = out.atoms.emplace_back();
+    for (std::size_t i : idx) atom.prefixes.push_back(snap.prefixes[i]);
+    atom.paths = sig;
+    std::set<net::Asn> origins;
+    for (const auto& [vp, path] : sig) {
+      const auto origin = out.paths().get(path).origin();
+      if (!origin || *origin == 0) continue;
+      if (origins.empty()) atom.origin = *origin;
+      origins.insert(*origin);
+    }
+    atom.moas = origins.size() > 1;
+    for (bgp::PrefixId p : atom.prefixes) out.atom_of[p] = a;
+    out.atoms_by_origin[atom.origin].push_back(a);
+  }
+  return out;
+}
 
 /// Full structural equality between two atom sets (operator== on Atom
 /// covers prefixes/paths/origin/moas; the indexes are checked on top).
@@ -38,22 +106,16 @@ void expect_identical(const AtomSet& a, const AtomSet& b) {
   }
 }
 
-/// Runs both kernels over `snap` at thread counts {1, 2, 8} and asserts
-/// every pairing is identical.
-void expect_kernels_agree(const SanitizedSnapshot& snap,
-                          bool strip_prepends = false) {
+/// Runs the kernel over `snap` at thread counts {1, 2, 8} and asserts
+/// each run is identical to the brute-force oracle.
+void expect_matches_oracle(const SanitizedSnapshot& snap,
+                           bool strip_prepends = false) {
   AtomOptions base;
   base.strip_prepends_before_grouping = strip_prepends;
-
-  AtomOptions ref = base;
-  ref.threads = 1;
-  const AtomSet oracle = compute_atoms_reference(snap, ref);
-
+  const AtomSet oracle = brute_force_atoms(snap, base);
   for (int threads : {1, 2, 8}) {
     AtomOptions opt = base;
     opt.threads = threads;
-    expect_identical(compute_atoms(snap, opt), oracle);
-    opt.use_reference_kernel = true;
     expect_identical(compute_atoms(snap, opt), oracle);
   }
 }
@@ -62,7 +124,7 @@ TEST(AtomsKernel, EmptySnapshot) {
   DatasetBuilder b;
   b.peer(100);
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  expect_kernels_agree(snap);
+  expect_matches_oracle(snap);
   EXPECT_TRUE(compute_atoms(snap).atoms.empty());
 }
 
@@ -71,7 +133,7 @@ TEST(AtomsKernel, SinglePrefix) {
   b.peer(100).route("10.0.0.0/16", "100 1");
   b.peer(200).route("10.0.0.0/16", "200 1");
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  expect_kernels_agree(snap);
+  expect_matches_oracle(snap);
   const auto atoms = compute_atoms(snap);
   ASSERT_EQ(atoms.atoms.size(), 1u);
   EXPECT_EQ(atoms.atoms[0].paths.size(), 2u);
@@ -88,7 +150,7 @@ TEST(AtomsKernel, AllIdenticalSignatures) {
     }
   }
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  expect_kernels_agree(snap);
+  expect_matches_oracle(snap);
   const auto atoms = compute_atoms(snap);
   ASSERT_EQ(atoms.atoms.size(), 1u);
   EXPECT_EQ(atoms.atoms[0].size(), 50u);
@@ -105,8 +167,24 @@ TEST(AtomsKernel, AbsencePatternsSplit) {
   b.peer(200).route("10.0.0.0/16", "200 1").route("10.2.0.0/16", "200 1");
   b.peer(300).route("10.2.0.0/16", "300 1");
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  expect_kernels_agree(snap);
+  expect_matches_oracle(snap);
   EXPECT_EQ(compute_atoms(snap).atoms.size(), 3u);
+}
+
+TEST(AtomsKernel, MoasAtomKeepsTheFirstKnownOrigin) {
+  // Three VPs disagree on the origin of the same two prefixes: one MOAS
+  // atom, whose origin is the one seen at the first VP column.
+  DatasetBuilder b;
+  b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 1");
+  b.peer(200).route("10.0.0.0/16", "200 2").route("10.1.0.0/16", "200 2");
+  b.peer(300).route("10.0.0.0/16", "300 3").route("10.1.0.0/16", "300 3");
+  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
+  expect_matches_oracle(snap);
+  const auto atoms = compute_atoms(snap);
+  ASSERT_EQ(atoms.atoms.size(), 1u);
+  EXPECT_TRUE(atoms.atoms[0].moas);
+  EXPECT_EQ(atoms.atoms[0].origin, 1u);
+  EXPECT_EQ(atoms.atoms_by_origin.count(1), 1u);
 }
 
 TEST(AtomsKernel, StripPrependsBeforeGrouping) {
@@ -117,7 +195,7 @@ TEST(AtomsKernel, StripPrependsBeforeGrouping) {
       .route("10.2.0.0/16", "100 2 2 1")
       .route("10.3.0.0/16", "100 2 1");
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  expect_kernels_agree(snap, /*strip_prepends=*/true);
+  expect_matches_oracle(snap, /*strip_prepends=*/true);
   AtomOptions options;
   options.strip_prepends_before_grouping = true;
   const auto atoms = compute_atoms(snap, options);
@@ -127,7 +205,7 @@ TEST(AtomsKernel, StripPrependsBeforeGrouping) {
 
 TEST(AtomsKernel, LargeSnapshotAboveParallelGate) {
   // Enough prefixes to cross the 4096-prefix parallel gate so the
-  // sharded paths of both kernels actually run multi-threaded.
+  // kernel's sharded paths actually run multi-threaded.
   DatasetBuilder b;
   constexpr int kPrefixes = 5000;
   for (int vp = 0; vp < 3; ++vp) {
@@ -146,17 +224,8 @@ TEST(AtomsKernel, LargeSnapshotAboveParallelGate) {
   }
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
   ASSERT_GE(snap.prefixes.size(), 4096u);
-  expect_kernels_agree(snap);
-  expect_kernels_agree(snap, /*strip_prepends=*/true);
-}
-
-TEST(AtomsKernel, UseReferenceKernelOptionDispatches) {
-  DatasetBuilder b;
-  b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 2");
-  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  AtomOptions opt;
-  opt.use_reference_kernel = true;
-  expect_identical(compute_atoms(snap, opt), compute_atoms_reference(snap));
+  expect_matches_oracle(snap);
+  expect_matches_oracle(snap, /*strip_prepends=*/true);
 }
 
 // ------------------------------------------------------- masked grouping
@@ -219,15 +288,12 @@ TEST(AtomsKernel, MaskedSubsetEqualsPhysicallyDroppedColumns) {
       plain.strip_prepends_before_grouping = strip;
       plain.threads = threads;
 
-      // SoA and reference kernels, each against the physically dropped
-      // snapshot run through the same kernel.
+      // The masked kernel against the physically dropped snapshot, and
+      // against the brute-force oracle.
       expect_identical(compute_atoms(full, masked),
                        compute_atoms(dropped, plain));
-      expect_identical(compute_atoms_reference(full, masked),
-                       compute_atoms_reference(dropped, plain));
-      // And the two masked kernels against each other.
       expect_identical(compute_atoms(full, masked),
-                       compute_atoms_reference(full, masked));
+                       brute_force_atoms(full, masked));
     }
   }
 }
@@ -289,9 +355,6 @@ TEST(AtomsKernel, MalformedVpSubsetThrows) {
     AtomOptions opt;
     opt.vp_subset = bad;
     EXPECT_THROW(compute_atoms(snap, opt), std::invalid_argument);
-    opt.use_reference_kernel = true;
-    EXPECT_THROW(compute_atoms(snap, opt), std::invalid_argument);
-    opt.use_reference_kernel = false;
     EXPECT_THROW(AtomSignatureMatrix::build(snap, opt), std::invalid_argument);
   }
 }

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -349,18 +348,6 @@ std::size_t check_view(bgp::SnapshotView& view, const std::string& backend,
   return snapshots;
 }
 
-/// Temp file that deletes itself.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(testing::TempDir() + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 /// A 2022 capture: three ADD-PATH-broken peers, the private-ASN injector,
 /// a duplicate emitter and partial feeds, four snapshots (t0, +8 h,
 /// +24 h, +1 w).
@@ -387,7 +374,7 @@ TEST(SanitizeOracle, CampaignSnapshotsMatchThroughBothViews) {
   bgp::DatasetView mem(ds);
   EXPECT_EQ(check_view(mem, "dataset", coverage), 4u);
 
-  TempFile file("sanitize_oracle.bga");
+  test::TempFile file("sanitize_oracle.bga");
   bgp::write_archive_file(ds, file.path());
   bgp::ArchiveView streamed(file.path());
   EXPECT_EQ(check_view(streamed, "archive", coverage), 4u);

@@ -1,12 +1,13 @@
 // Tests for the BGPStream-like record reader, in-memory and streaming.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <string>
 
 #include "bgp/archive.h"
 #include "routing/simulator.h"
 #include "stream/file_reader.h"
 #include "stream/reader.h"
+#include "testutil.h"
 
 namespace bgpatoms::stream {
 namespace {
@@ -213,37 +214,21 @@ void expect_same_records(const std::vector<Record>& mem,
   }
 }
 
-class StreamTempFile {
- public:
-  StreamTempFile(const bgp::Dataset& ds, bgp::ArchiveVersion v)
-      : path_((std::filesystem::temp_directory_path() /
-               (v == bgp::ArchiveVersion::kV1 ? "stream_v1.bga"
-                                              : "stream_v2.bga"))
-                  .string()) {
-    bgp::write_archive_file(ds, path_, v);
-  }
-  ~StreamTempFile() { std::filesystem::remove(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(FileRecordReader, MatchesInMemoryReaderBothVersions) {
+TEST(FileRecordReader, MatchesInMemoryReader) {
   Fixture f;
   RecordReader mem_reader(f.ds);
   const auto mem = drain(mem_reader);
-  for (auto v : {bgp::ArchiveVersion::kV1, bgp::ArchiveVersion::kV2}) {
-    const StreamTempFile file(f.ds, v);
-    FileRecordReader reader(file.path());
-    expect_same_records(mem, drain_file(reader));
-    EXPECT_EQ(reader.count(), mem_reader.count());
-  }
+  const test::TempFile file("stream.bga");
+  bgp::write_archive_file(f.ds, file.path());
+  FileRecordReader reader(file.path());
+  expect_same_records(mem, drain_file(reader));
+  EXPECT_EQ(reader.count(), mem_reader.count());
 }
 
 TEST(FileRecordReader, FiltersMatchInMemoryReader) {
   Fixture f;
-  const StreamTempFile file(f.ds, bgp::ArchiveVersion::kV2);
+  const test::TempFile file("stream.bga");
+  bgp::write_archive_file(f.ds, file.path());
 
   std::vector<Filters> cases;
   cases.push_back({});
@@ -277,7 +262,8 @@ TEST(FileRecordReader, WorksOverSimulatedDataset) {
 
   RecordReader mem_reader(ds);
   const auto mem = drain(mem_reader);
-  const StreamTempFile file(ds, bgp::ArchiveVersion::kV2);
+  const test::TempFile file("stream.bga");
+  bgp::write_archive_file(ds, file.path());
   FileRecordReader reader(file.path());
   expect_same_records(mem, drain_file(reader));
   EXPECT_LT(reader.archive().peak_buffer_bytes(),

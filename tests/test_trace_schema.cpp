@@ -8,7 +8,6 @@
 // min <= max), never for values.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "bgp/archive.h"
@@ -19,23 +18,12 @@
 #include "obs/obs.h"
 #include "report/cache.h"
 #include "report/trace.h"
+#include "testutil.h"
 
 namespace bgpatoms::report {
 namespace {
 
 #if BGPATOMS_OBS_ENABLED
-
-/// Temp file that deletes itself.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(testing::TempDir() + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 core::CampaignConfig small_campaign() {
   core::CampaignConfig config;
@@ -82,7 +70,7 @@ json::Value traced_run(int threads, const std::string& archive_path) {
 }
 
 TEST(TraceSchema, ValidatesAndCountersAreThreadCountInvariant) {
-  TempFile archive("trace_schema.bga");
+  test::TempFile archive("trace_schema.bga");
   const json::Value t1 = traced_run(1, archive.path());
   const json::Value t8 = traced_run(8, archive.path());
 

@@ -1,6 +1,6 @@
 // Backend equivalence for the streaming analysis views (bgp/views.h,
 // bgp/archive_view.h): the same campaign analyzed through an in-memory
-// DatasetView and through an ArchiveView streaming a v1 or v2 BGA file
+// DatasetView and through an ArchiveView streaming a BGA file
 // must produce bit-identical atoms, stats, stability and update
 // correlation — the contract that lets every CLI tool stream archives
 // without a correctness tax. Also pins the ArchiveView residency bound:
@@ -10,7 +10,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 
@@ -21,21 +20,12 @@
 #include "core/analyze.h"
 #include "core/longitudinal.h"
 #include "obs/obs.h"
+#include "testutil.h"
 
 namespace bgpatoms::core {
 namespace {
 
-/// Temp file that deletes itself (tests must not leak archives).
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(testing::TempDir() + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempFile;
 
 void expect_curve_eq(const PrFullCurve& a, const PrFullCurve& b) {
   EXPECT_EQ(a.n_all, b.n_all);
@@ -137,16 +127,10 @@ TEST(ViewEquivalence, ArchiveBackendsMatchInMemoryBitForBit) {
   ASSERT_EQ(want.stability.size(), 3u);
   ASSERT_TRUE(want.correlation.has_value());
 
-  for (const auto version : {bgp::ArchiveVersion::kV1,
-                             bgp::ArchiveVersion::kV2}) {
-    TempFile file(version == bgp::ArchiveVersion::kV1 ? "views_eq_v1.bga"
-                                                      : "views_eq_v2.bga");
-    bgp::write_archive_file(ds, file.path(), version);
-
-    bgp::ArchiveView streamed(file.path());
-    const AnalysisResult got = analyze(streamed, &streamed, config);
-    expect_analysis_eq(want, got);
-  }
+  TempFile file("views_eq.bga");
+  bgp::write_archive_file(ds, file.path());
+  bgp::ArchiveView streamed(file.path());
+  expect_analysis_eq(want, analyze(streamed, &streamed, config));
 }
 
 TEST(ViewEquivalence, QuarterMetricsMatchTheCampaignOverload) {

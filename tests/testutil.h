@@ -1,7 +1,12 @@
-// Shared helpers for the core-analysis tests: a fluent builder for small
-// hand-crafted datasets where every peer's table is spelled out.
+// Shared test helpers: a fluent builder for small hand-crafted datasets
+// where every peer's table is spelled out, and per-test scratch files.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -86,6 +91,32 @@ class DatasetBuilder {
   }
 
   bgp::Dataset ds_;
+};
+
+/// A scratch file path unique to the running test (suite name, test name
+/// and pid), removed on destruction. gtest_discover_tests runs every case
+/// as its own ctest process, concurrently under `ctest -j`, so a name
+/// shared by two cases would let one overwrite or delete the other's file
+/// mid-read. `tag` tells apart several files of one test.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& tag) {
+    const auto* info = testing::UnitTest::GetInstance()->current_test_info();
+    std::string test = info ? std::string(info->test_suite_name()) + "." +
+                                  info->name()
+                            : "global";
+    std::replace(test.begin(), test.end(), '/', '_');  // parameterized
+    path_ = testing::TempDir() + test + "." + std::to_string(::getpid()) +
+            "." + tag;
+  }
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 /// Sanitize with thresholds relaxed so tiny hand-built tables survive.

@@ -52,7 +52,8 @@ for stage in "${STAGES[@]}"; do
       ctest --test-dir build -L vp_smoke --output-on-failure -j "${JOBS}"
       ;;
     asan)
-      # asan_smoke covers the decoder-hostile suites, the streamed
+      # asan_smoke covers the archive decoder over files and in-memory
+      # images (test_archive, test_archive_fuzz, test_stream), the streamed
       # analysis and the propagation/sanitize oracles (tests/CMakeLists.txt).
       configure asan build-asan
       cmake --build --preset asan -j "${JOBS}"
