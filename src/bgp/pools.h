@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/hash.h"
+#include "net/id_index.h"
 #include "net/prefix.h"
 
 namespace bgpatoms::bgp {
@@ -55,20 +56,15 @@ constexpr std::uint16_t community_value(Community c) {
 /// empty set.
 class CommunitySetPool {
  public:
-  CommunitySetPool() { sets_.emplace_back(); }
+  CommunitySetPool() { intern({}); }  // id 0 == empty set
 
   std::uint32_t intern(std::vector<Community> set) {
     std::sort(set.begin(), set.end());
     set.erase(std::unique(set.begin(), set.end()), set.end());
-    if (set.empty()) return 0;
-    const std::uint64_t h = hash_span<Community>(set);
-    auto& bucket = by_hash_[h];
-    for (std::uint32_t id : bucket) {
-      if (sets_[id] == set) return id;
-    }
-    const auto id = static_cast<std::uint32_t>(sets_.size());
-    sets_.push_back(std::move(set));
-    bucket.push_back(id);
+    const auto [id, fresh] =
+        index_.intern(hash_span<Community>(set),
+                      [&](std::uint32_t other) { return sets_[other] == set; });
+    if (fresh) sets_.push_back(std::move(set));
     return id;
   }
 
@@ -79,7 +75,7 @@ class CommunitySetPool {
 
  private:
   std::vector<std::vector<Community>> sets_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
+  net::IdIndex index_;  // content hash -> id; full equality re-checked
 };
 
 }  // namespace bgpatoms::bgp

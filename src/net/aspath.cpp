@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <utility>
 
 namespace bgpatoms::net {
 
@@ -228,33 +229,62 @@ std::string AsPath::to_string() const {
   return out;
 }
 
+namespace {
+
+constexpr std::uint64_t kPathHashSeed = 0x5851f42d4c957f2dULL;
+
+std::uint64_t segment_hash(std::uint64_t h, SegmentType type,
+                           std::span<const Asn> asns) {
+  h = hash_combine(h, static_cast<std::uint64_t>(type));
+  return hash_combine(h, hash_row32(asns));
+}
+
+bool is_sequence_of(const AsPath& path, std::span<const Asn> asns) {
+  const auto segs = path.segments();
+  if (segs.empty()) return asns.empty();
+  return segs.size() == 1 && segs[0].type == SegmentType::kSequence &&
+         std::equal(segs[0].asns.begin(), segs[0].asns.end(), asns.begin(),
+                    asns.end());
+}
+
+}  // namespace
+
 std::uint64_t AsPath::hash() const {
-  std::uint64_t h = 0x5851f42d4c957f2dULL;
-  for (const auto& seg : segments_) {
-    h = hash_combine(h, static_cast<std::uint64_t>(seg.type));
-    h = hash_combine(h, hash_span<Asn>(seg.asns));
-  }
+  std::uint64_t h = kPathHashSeed;
+  for (const auto& seg : segments_) h = segment_hash(h, seg.type, seg.asns);
   return h;
 }
 
-PathPool::PathPool() {
-  paths_.emplace_back();  // id 0 == empty path
-  by_hash_[paths_[0].hash()].push_back(kEmptyPathId);
+std::uint64_t AsPath::sequence_hash(std::span<const Asn> asns) {
+  return asns.empty()
+             ? kPathHashSeed
+             : segment_hash(kPathHashSeed, SegmentType::kSequence, asns);
+}
+
+PathPool::PathPool() { intern(AsPath()); }  // id 0 == empty path
+
+template <typename P>
+PathPool::PathId PathPool::intern_path(P&& path) {
+  const auto [id, fresh] = index_.intern(
+      path.hash(), [&](PathId other) { return paths_[other] == path; });
+  if (fresh) paths_.push_back(std::forward<P>(path));
+  return id;
 }
 
 PathPool::PathId PathPool::intern(const AsPath& path) {
-  return intern(AsPath(path));
+  return intern_path(path);
 }
 
 PathPool::PathId PathPool::intern(AsPath&& path) {
-  const std::uint64_t h = path.hash();
-  auto& bucket = by_hash_[h];
-  for (PathId id : bucket) {
-    if (paths_[id] == path) return id;
-  }
-  const auto id = static_cast<PathId>(paths_.size());
-  paths_.push_back(std::move(path));
-  bucket.push_back(id);
+  return intern_path(std::move(path));
+}
+
+PathPool::PathId PathPool::intern_sequence(std::span<const Asn> asns) {
+  const auto [id, fresh] =
+      index_.intern(AsPath::sequence_hash(asns), [&](PathId other) {
+        return is_sequence_of(paths_[other], asns);
+      });
+  if (fresh) paths_.push_back(AsPath::sequence({asns.begin(), asns.end()}));
   return id;
 }
 

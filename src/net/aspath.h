@@ -17,11 +17,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/asn.h"
 #include "net/hash.h"
+#include "net/id_index.h"
 
 namespace bgpatoms::net {
 
@@ -114,16 +114,21 @@ class AsPath {
   /// Stable content hash (used by PathPool).
   std::uint64_t hash() const;
 
+  /// hash() of AsPath::sequence(asns), computed without building it.
+  static std::uint64_t sequence_hash(std::span<const Asn> asns);
+
   friend auto operator<=>(const AsPath&, const AsPath&) = default;
 
  private:
   std::vector<PathSegment> segments_;
 };
 
-/// Interning pool mapping equal paths to dense 32-bit ids.
+/// Interning pool mapping equal paths to dense 32-bit ids, in first-sight
+/// order.
 ///
 /// Id 0 is reserved for the empty path, so "prefix missing at this vantage
-/// point" can be encoded as path id 0 throughout the analysis layer.
+/// point" can be encoded as path id 0 throughout the analysis layer. A
+/// lookup that finds its path allocates nothing; see net::IdIndex.
 class PathPool {
  public:
   using PathId = std::uint32_t;
@@ -135,14 +140,19 @@ class PathPool {
   PathId intern(const AsPath& path);
   PathId intern(AsPath&& path);
 
+  /// intern(AsPath::sequence({asns...})), building the path only when it
+  /// is new to the pool.
+  PathId intern_sequence(std::span<const Asn> asns);
+
   const AsPath& get(PathId id) const { return paths_[id]; }
   std::size_t size() const { return paths_.size(); }
 
  private:
+  template <typename P>
+  PathId intern_path(P&& path);  // copies or moves `path` only when new
+
   std::vector<AsPath> paths_;
-  // hash -> candidate ids; full equality re-checked on lookup so hash
-  // collisions cannot conflate distinct paths.
-  std::unordered_map<std::uint64_t, std::vector<PathId>> by_hash_;
+  IdIndex index_;  // content hash -> id; full equality re-checked on hit
 };
 
 }  // namespace bgpatoms::net

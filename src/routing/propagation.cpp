@@ -205,21 +205,22 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
 
 net::AsPath Propagator::extract_path(const RouteTable& t,
                                      NodeId node) const {
-  if (node >= t.cls.size() || t.cls[node] == RouteClass::kNone ||
-      t.cls[node] == RouteClass::kSelf) {
-    return net::AsPath();
-  }
   std::vector<net::Asn> hops;
-  hops.reserve(t.dist[node]);
+  append_path(t, node, hops);
+  return net::AsPath::sequence(std::move(hops));
+}
+
+void Propagator::append_path(const RouteTable& t, NodeId node,
+                             std::vector<net::Asn>& out) const {
+  if (node >= t.cls.size() || t.cls[node] == RouteClass::kNone) return;
   NodeId cur = node;
   while (t.cls[cur] != RouteClass::kSelf) {
     const NodeId p = t.parent[cur];
     assert(p != kNoNode);
     const net::Asn asn = graph_.node(p).asn;
-    for (int i = 0; i <= t.edge_prepend[cur]; ++i) hops.push_back(asn);
+    for (int i = 0; i <= t.edge_prepend[cur]; ++i) out.push_back(asn);
     cur = p;
   }
-  return net::AsPath::sequence(std::move(hops));
 }
 
 }  // namespace bgpatoms::routing

@@ -109,6 +109,10 @@ class Propagator {
   /// unreachable or if `node` is an origin.
   net::AsPath extract_path(const RouteTable& table, topo::NodeId node) const;
 
+  /// Appends extract_path's hops to `out` without building a path.
+  void append_path(const RouteTable& table, topo::NodeId node,
+                   std::vector<net::Asn>& out) const;
+
   /// Hops (ASN entry count) of extract_path without building it.
   std::uint32_t path_length(const RouteTable& table, topo::NodeId node) const {
     return table.dist[node];

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <span>
 
 #include "bgp/nlri.h"
 #include "net/hash.h"
+#include "obs/obs.h"
 
 namespace bgpatoms::routing {
 
@@ -166,6 +168,7 @@ void Simulator::extend_daily_schedule(bgp::Timestamp until) {
 }
 
 void Simulator::advance_to(bgp::Timestamp t) {
+  OBS_SPAN("routing.advance_to");
   assert(t >= now_);
   if (opt_.daily_event_rate > 0) extend_daily_schedule(t);
   // Drain both queues in time order (churn first on ties, preserving the
@@ -346,6 +349,7 @@ void Simulator::merge_unit(UnitId u) {
 // ---------------------------------------------------------------------------
 
 void Simulator::refresh_unit_paths() {
+  OBS_SPAN("routing.refresh_unit_paths");
   // Group dirty units by origin, then by policy, so units sharing a policy
   // share one propagation run.
   std::vector<UnitId> dirty;
@@ -415,36 +419,37 @@ void Simulator::compute_unit_group(NodeId origin,
     propagator_.compute(sources, engine, scratch_table_);
   }
 
-  std::vector<VpPath> paths;
+  OBS_COUNT("routing.propagations");
+  OBS_COUNT_N("routing.units_refreshed", group.size());
+  std::vector<VpPath>& paths = unit_paths_[rep];
+  paths.clear();
   const auto& vps = topo_.vantage_points;
   for (std::uint16_t i = 0; i < vps.size(); ++i) {
     const NodeId vn = vps[i].node;
     if (!scratch_table_.reachable(vn)) continue;
-    net::AsPath p = propagator_.extract_path(scratch_table_, vn);
-    p.prepend(topo_.graph.node(vn).asn, 1);  // the peer's own ASN leads
-    if (pol.as_set_mode != 0) p = apply_as_set(p, pol.as_set_mode);
-    paths.push_back({i, ds_.paths.intern(std::move(p))});
+    hops_.assign(1, topo_.graph.node(vn).asn);  // the peer's own ASN leads
+    propagator_.append_path(scratch_table_, vn, hops_);
+    paths.push_back({i, intern_hops(hops_, pol.as_set_mode)});
   }
   for (UnitId u : group) {
-    unit_paths_[u] = paths;
+    if (u != rep) unit_paths_[u] = paths;
     unit_dirty_[u] = 0;
   }
 }
 
-net::AsPath Simulator::apply_as_set(const net::AsPath& path,
-                                    std::uint8_t mode) const {
+bgp::PathId Simulator::intern_hops(std::span<const net::Asn> hops,
+                                   std::uint8_t as_set_mode) {
+  if (as_set_mode == 0 || hops.size() < 3) {
+    return ds_.paths.intern_sequence(hops);
+  }
   // Route aggregation folded the path tail into an AS_SET (paper §2.4.4).
-  const auto hops = path.flat();
-  if (hops.size() < 3) return path;
-  std::vector<net::PathSegment> segs;
-  const std::size_t fold = mode == 1 ? 1 : 2;
-  segs.push_back({net::SegmentType::kSequence,
-                  {hops.begin(), hops.end() - fold}});
-  std::vector<net::Asn> tail(hops.end() - fold, hops.end());
+  const std::size_t keep = hops.size() - (as_set_mode == 1 ? 1 : 2);
+  std::vector<net::Asn> tail(hops.begin() + keep, hops.end());
   std::sort(tail.begin(), tail.end());
   tail.erase(std::unique(tail.begin(), tail.end()), tail.end());
-  segs.push_back({net::SegmentType::kSet, std::move(tail)});
-  return net::AsPath::from_segments(std::move(segs));
+  return ds_.paths.intern(net::AsPath::from_segments(
+      {{net::SegmentType::kSequence, {hops.begin(), hops.begin() + keep}},
+       {net::SegmentType::kSet, std::move(tail)}}));
 }
 
 std::uint32_t Simulator::path_selection_length(bgp::PathId id) {
@@ -457,54 +462,73 @@ std::uint32_t Simulator::path_selection_length(bgp::PathId id) {
 }
 
 std::size_t Simulator::capture() {
+  OBS_SPAN("routing.capture");
   refresh_unit_paths();
 
-  bgp::Snapshot snap;
-  snap.timestamp = opt_.base_time + now_;
-  const auto& vps = topo_.vantage_points;
-  std::vector<std::vector<bgp::RibRecord>> recs(vps.size());
-
-  for (const auto& unit : policies_.units) {
+  OBS_SPAN("routing.rib_assembly");
+  // The units announcing each prefix (several for a MOAS prefix), in unit
+  // order: a counting sort over the dense GlobalPrefixId. Afterwards the
+  // units of prefix p are prefix_units[first[p] .. first[p + 1]), so
+  // walking the prefixes in order appends every VP's RIB already sorted.
+  const auto& units = policies_.units;
+  const std::size_t n_prefixes = policies_.all_prefixes.size();
+  std::vector<std::uint32_t> first(n_prefixes + 2, 0);
+  std::vector<bgp::CommunitySetId> unit_comms(units.size());
+  for (const auto& unit : units) {
     if (unit.prefixes.empty() || unit_suppressed_[unit.id]) continue;
-    const bgp::CommunitySetId comms =
-        ds_.communities.intern(unit.policy.communities);
-    for (const auto& entry : unit_paths_[unit.id]) {
-      auto& out = recs[entry.vp];
-      for (GlobalPrefixId p : unit.prefixes) {
-        out.push_back({p, entry.path, comms, bgp::RecordStatus::kValid});
+    unit_comms[unit.id] = ds_.communities.intern(unit.policy.communities);
+    for (GlobalPrefixId p : unit.prefixes) ++first[p + 2];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<UnitId> prefix_units(first.back());
+  for (const auto& unit : units) {
+    if (unit.prefixes.empty() || unit_suppressed_[unit.id]) continue;
+    for (GlobalPrefixId p : unit.prefixes) {
+      prefix_units[first[p + 1]++] = unit.id;
+    }
+  }
+
+  const auto& vps = topo_.vantage_points;
+  std::vector<std::vector<bgp::RibRecord>> ribs(vps.size());
+  for (GlobalPrefixId p = 0; p < n_prefixes; ++p) {
+    for (std::uint32_t k = first[p]; k < first[p + 1]; ++k) {
+      const UnitId u = prefix_units[k];
+      for (const auto& entry : unit_paths_[u]) {
+        const bgp::RibRecord rec{p, entry.path, unit_comms[u],
+                                 bgp::RecordStatus::kValid};
+        auto& rib = ribs[entry.vp];
+        if (rib.empty() || rib.back().prefix != p) {
+          rib.push_back(rec);
+        } else if (wins_best_path(rec.path, rib.back().path)) {
+          // MOAS: keep the route that wins best-path selection, the way a
+          // real router would.
+          rib.back() = rec;
+        }
       }
     }
   }
 
+  bgp::Snapshot snap;
+  snap.timestamp = opt_.base_time + now_;
   for (std::uint16_t i = 0; i < vps.size(); ++i) {
-    auto& rib = recs[i];
-    // Resolve MOAS collisions the way a real router would: keep the route
-    // that wins best-path selection (shorter path, then lower path id).
-    std::sort(rib.begin(), rib.end(),
-              [&](const bgp::RibRecord& a, const bgp::RibRecord& b) {
-                if (a.prefix != b.prefix) return a.prefix < b.prefix;
-                const auto la = path_selection_length(a.path);
-                const auto lb = path_selection_length(b.path);
-                if (la != lb) return la < lb;
-                return a.path < b.path;
-              });
-    rib.erase(std::unique(rib.begin(), rib.end(),
-                          [](const bgp::RibRecord& a, const bgp::RibRecord& b) {
-                            return a.prefix == b.prefix;
-                          }),
-              rib.end());
-    inject_faults(i, rib);
-
+    inject_faults(i, ribs[i]);
     bgp::PeerFeed feed;
     feed.peer.asn = topo_.graph.node(vps[i].node).asn;
     feed.peer.address = peer_address(i);
     feed.peer.collector = vps[i].collector;
-    feed.records = std::move(rib);
+    feed.records = std::move(ribs[i]);
     snap.peers.push_back(std::move(feed));
   }
 
   ds_.snapshots.push_back(std::move(snap));
   return ds_.snapshots.size() - 1;
+}
+
+bool Simulator::wins_best_path(bgp::PathId a, bgp::PathId b) {
+  // Shorter path first, then the lower path id.
+  const auto la = path_selection_length(a);
+  const auto lb = path_selection_length(b);
+  return la != lb ? la < lb : a < b;
 }
 
 net::IpAddress Simulator::peer_address(std::uint16_t vp_index) const {
@@ -560,7 +584,7 @@ bgp::PathId Simulator::inject_private_asn(bgp::PathId id) {
     mangled.push_back(65000);  // the paper's AS65000 signature
     mangled.insert(mangled.end(), hops.begin() + 1, hops.end());
   }
-  const bgp::PathId out = ds_.paths.intern(net::AsPath::sequence(mangled));
+  const bgp::PathId out = ds_.paths.intern_sequence(mangled);
   private_asn_cache_.emplace(id, out);
   return out;
 }
@@ -609,6 +633,7 @@ std::vector<OriginUnit> Simulator::policy_clusters() const {
 }
 
 void Simulator::emit_updates(bgp::Timestamp duration) {
+  OBS_SPAN("routing.emit_updates");
   refresh_unit_paths();
   const auto& p = topo_.params;
   const double window_scale = static_cast<double>(duration) / (4 * kHour);

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -149,7 +150,12 @@ class Simulator {
   void refresh_unit_paths();
   void compute_unit_group(topo::NodeId origin,
                           const std::vector<UnitId>& group);
-  net::AsPath apply_as_set(const net::AsPath& path, std::uint8_t mode) const;
+  /// Interns a VP's hop list (peer ASN first), folding its tail into an
+  /// AS_SET when the unit's policy aggregates (as_set_mode 1 or 2).
+  bgp::PathId intern_hops(std::span<const net::Asn> hops,
+                          std::uint8_t as_set_mode);
+  /// True if path `a` beats path `b` in best-path selection.
+  bool wins_best_path(bgp::PathId a, bgp::PathId b);
   std::uint32_t path_selection_length(bgp::PathId id);
   void inject_faults(std::uint16_t vp_index,
                      std::vector<bgp::RibRecord>& rib);
@@ -222,6 +228,7 @@ class Simulator {
 
   // caches / scratch
   RouteTable scratch_table_;
+  std::vector<net::Asn> hops_;  // compute_unit_group's path buffer
   std::vector<std::uint32_t> path_len_cache_;
   std::unordered_map<bgp::PathId, bgp::PathId> private_asn_cache_;
 };

@@ -2,6 +2,10 @@
 // prepending semantics and the AS_SET handling of §2.4.4.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <vector>
+
 #include "net/aspath.h"
 
 namespace bgpatoms::net {
@@ -187,6 +191,119 @@ TEST(PathPool, ManyPathsStayConsistent) {
     EXPECT_EQ(pool.intern(AsPath::sequence({a, a + 1, a + 2})), ids[a - 1]);
   }
   EXPECT_EQ(pool.size(), 501u);
+}
+
+
+// A random path over a small ASN alphabet, so a long stream mixes repeats
+// (pool hits) with first sights (misses that grow the index): pure
+// sequences, prepended hops, AS_SETs and the empty path.
+AsPath random_path(std::mt19937_64& rng) {
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  const auto asn = [&] { return static_cast<Asn>(1 + below(24)); };
+  std::vector<PathSegment> segs;
+  switch (below(8)) {
+    case 0:
+      return AsPath();
+    case 1: {  // prepended: one hop repeated 2-4 times
+      std::vector<Asn> hops{asn(), asn()};
+      hops.insert(hops.begin() + 1, 1 + below(3), hops[0]);
+      return AsPath::sequence(std::move(hops));
+    }
+    case 2:  // sequence with an aggregated AS_SET tail
+      segs.push_back({SegmentType::kSequence, {asn(), asn()}});
+      segs.push_back({SegmentType::kSet, {asn(), asn()}});
+      return AsPath::from_segments(std::move(segs));
+    case 3:  // singleton set inside a sequence
+      segs.push_back({SegmentType::kSequence, {asn()}});
+      segs.push_back({SegmentType::kSet, {asn()}});
+      segs.push_back({SegmentType::kSequence, {asn()}});
+      return AsPath::from_segments(std::move(segs));
+    default: {
+      std::vector<Asn> hops(1 + below(5));
+      for (auto& h : hops) h = asn();
+      return AsPath::sequence(std::move(hops));
+    }
+  }
+}
+
+bool is_pure_sequence(const AsPath& p) {
+  return p.empty() || (p.segments().size() == 1 &&
+                       p.segments()[0].type == SegmentType::kSequence);
+}
+
+TEST(PathPool, MatchesFirstSightMapOracle) {
+  std::mt19937_64 rng(20240917);
+  PathPool pool;
+  std::map<AsPath, PathPool::PathId> oracle{{AsPath(), 0}};
+  std::size_t hits = 0;
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 50000; ++i) {
+    const AsPath p = random_path(rng);
+    const auto [it, fresh] =
+        oracle.emplace(p, static_cast<PathPool::PathId>(oracle.size()));
+    hits += fresh ? 0 : 1;
+    const auto flat = p.flat();
+    const PathPool::PathId got = is_pure_sequence(p) && (rng() & 1)
+                                     ? pool.intern_sequence(flat)
+                                     : pool.intern(p);
+    mismatches += got == it->second ? 0 : 1;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  ASSERT_EQ(pool.size(), oracle.size());
+  for (const auto& [path, id] : oracle) EXPECT_EQ(pool.get(id), path);
+  // Enough first sights for several table growths, and enough repeats
+  // that the hit path carries the test too.
+  EXPECT_GT(oracle.size(), 10000u);
+  EXPECT_GT(hits, 10000u);
+}
+
+TEST(PathPool, InternSequenceAgreesWithInternEitherOrder) {
+  const std::vector<std::vector<Asn>> seqs = {
+      {}, {7}, {7, 7}, {1, 2, 3}, {3, 2, 1}, {1, 2, 2, 3}, {65000, 1}};
+  for (const auto& v : seqs) {
+    EXPECT_EQ(AsPath::sequence_hash(v), AsPath::sequence(v).hash());
+  }
+  PathPool span_first;
+  PathPool path_first;
+  for (const auto& v : seqs) {
+    const auto a = span_first.intern_sequence(v);
+    EXPECT_EQ(span_first.intern(AsPath::sequence(v)), a);
+    const auto b = path_first.intern(AsPath::sequence(v));
+    EXPECT_EQ(path_first.intern_sequence(v), b);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(span_first.get(a), AsPath::sequence(v));
+    // Already interned: both entry points hit.
+    EXPECT_EQ(span_first.intern_sequence(v), a);
+    EXPECT_EQ(path_first.intern(AsPath::sequence(v)), b);
+  }
+  EXPECT_EQ(span_first.intern_sequence({}), PathPool::kEmptyPathId);
+  EXPECT_EQ(span_first.size(), seqs.size());  // the empty path is id 0
+  // A set path with the same hops is a different path.
+  const auto set = span_first.intern(*AsPath::parse("1 2 [3]"));
+  EXPECT_NE(set, span_first.intern_sequence(std::vector<Asn>{1, 2, 3}));
+}
+
+TEST(PathPool, CopiedPoolDivergesIndependently) {
+  PathPool original;
+  for (Asn a = 1; a <= 100; ++a) original.intern(AsPath::sequence({a, a}));
+  PathPool copy = original;
+  const auto n = static_cast<PathPool::PathId>(original.size());
+  const AsPath x = AsPath::sequence({1000, 1});
+  const AsPath y = AsPath::sequence({2000, 2});
+  EXPECT_EQ(copy.intern(x), n);
+  EXPECT_EQ(original.intern(y), n);
+  EXPECT_EQ(copy.get(n), x);
+  EXPECT_EQ(original.get(n), y);
+  EXPECT_EQ(copy.intern(y), n + 1);
+  EXPECT_EQ(original.intern(x), n + 1);
+  // Growing the copy's index leaves the original's untouched.
+  for (Asn a = 1; a <= 5000; ++a) copy.intern(AsPath::sequence({a, 7, a}));
+  EXPECT_EQ(original.size(), n + 2);
+  for (Asn a = 1; a <= 100; ++a) {
+    EXPECT_EQ(original.intern(AsPath::sequence({a, a})), a);
+    EXPECT_EQ(copy.intern(AsPath::sequence({a, a})), a);
+  }
+  EXPECT_EQ(original.size(), n + 2);
 }
 
 }  // namespace

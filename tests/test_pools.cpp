@@ -1,6 +1,11 @@
 // Tests for the prefix / community-set interning pools.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <vector>
+
 #include "bgp/pools.h"
 
 namespace bgpatoms::bgp {
@@ -55,6 +60,35 @@ TEST(CommunitySetPool, DistinctSetsGetDistinctIds) {
   const auto b = pool.intern({make_community(1, 3)});
   EXPECT_NE(a, b);
   EXPECT_EQ(pool.size(), 3u);  // empty + two
+}
+
+
+TEST(CommunitySetPool, MatchesFirstSightMapOracle) {
+  // Random unsorted sets with repeats over a small value space: the pool
+  // must hand out ids in first-sight order of the canonical (sorted,
+  // deduplicated) set, through several index growths.
+  std::mt19937_64 rng(77);
+  CommunitySetPool pool;
+  std::map<std::vector<Community>, std::uint32_t> oracle{{{}, 0}};
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 30000; ++i) {
+    std::vector<Community> set(rng() % 5);
+    for (auto& c : set) {
+      c = make_community(static_cast<std::uint16_t>(rng() % 6),
+                         static_cast<std::uint16_t>(rng() % 8));
+    }
+    auto canonical = set;
+    std::sort(canonical.begin(), canonical.end());
+    canonical.erase(std::unique(canonical.begin(), canonical.end()),
+                    canonical.end());
+    const auto [it, fresh] = oracle.emplace(
+        canonical, static_cast<std::uint32_t>(oracle.size()));
+    mismatches += pool.intern(set) == it->second ? 0 : 1;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  ASSERT_EQ(pool.size(), oracle.size());
+  for (const auto& [set, id] : oracle) EXPECT_EQ(pool.get(id), set);
+  EXPECT_GT(oracle.size(), 1000u);
 }
 
 }  // namespace

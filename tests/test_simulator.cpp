@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "obs/obs.h"
 #include "routing/simulator.h"
 
 namespace bgpatoms::routing {
@@ -332,6 +334,149 @@ TEST(Simulator, BaseTimeOffsetsTimestamps) {
   sim.capture();
   EXPECT_EQ(sim.dataset().snapshots[0].timestamp, 1'600'000'000);
 }
+
+/// The path VP node `vp` records in a fresh simulator, rebuilt from a
+/// standalone propagation `table`: the peer's ASN, the RIB path, and the
+/// tail folded into an AS_SET for aggregating policies.
+net::AsPath reference_vp_path(const Propagator& prop, const RouteTable& table,
+                              const topo::AsGraph& graph, topo::NodeId vp,
+                              std::uint8_t as_set_mode) {
+  std::vector<net::Asn> hops{graph.node(vp).asn};
+  const auto rest = prop.extract_path(table, vp).flat();
+  hops.insert(hops.end(), rest.begin(), rest.end());
+  if (as_set_mode == 0 || hops.size() < 3) return net::AsPath::sequence(hops);
+  const std::size_t fold = as_set_mode == 1 ? 1 : 2;
+  std::vector<net::Asn> tail(hops.end() - fold, hops.end());
+  std::sort(tail.begin(), tail.end());
+  tail.erase(std::unique(tail.begin(), tail.end()), tail.end());
+  return net::AsPath::from_segments(
+      {{net::SegmentType::kSequence, {hops.begin(), hops.end() - fold}},
+       {net::SegmentType::kSet, tail}});
+}
+
+TEST(Simulator, CaptureMatchesComparisonSortedReferenceRib) {
+  // Each fault-free VP's captured RIB must equal its records in unit
+  // order, sorted with a comparison sort by (prefix, selection length,
+  // path id) and reduced to the first record per prefix.
+  std::size_t collisions = 0;
+  for (const std::uint64_t seed : {11u, 12u}) {
+    auto sim = make_sim(2016.0, 0.02, seed);
+    const auto& topo = sim.topology();
+    ASSERT_FALSE(topo.moas_extra.empty());
+    sim.capture();
+    const auto& snap = sim.dataset().snapshots.at(0);
+
+    // Copies: every lookup below must hit what capture() interned.
+    net::PathPool paths = sim.dataset().paths;
+    bgp::CommunitySetPool comms = sim.dataset().communities;
+    const std::size_t n_paths = paths.size();
+    const std::size_t n_comms = comms.size();
+
+    const Propagator prop(topo.graph);
+    RouteTable table;
+    std::vector<std::vector<bgp::RibRecord>> ref(topo.vantage_points.size());
+    for (const auto& unit : sim.policies().units) {
+      if (unit.prefixes.empty()) continue;
+      const UnitPolicy* pol =
+          unit.policy == UnitPolicy{} ? nullptr : &unit.policy;
+      prop.compute(unit.origin, pol, table);
+      const auto comm = comms.intern(unit.policy.communities);
+      for (std::uint16_t i = 0; i < topo.vantage_points.size(); ++i) {
+        const topo::NodeId vn = topo.vantage_points[i].node;
+        if (!table.reachable(vn)) continue;
+        const auto path = paths.intern(reference_vp_path(
+            prop, table, topo.graph, vn, unit.policy.as_set_mode));
+        for (GlobalPrefixId p : unit.prefixes) {
+          ref[i].push_back({p, path, comm, bgp::RecordStatus::kValid});
+        }
+      }
+    }
+    EXPECT_EQ(paths.size(), n_paths);
+    EXPECT_EQ(comms.size(), n_comms);
+
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < topo.vantage_points.size(); ++i) {
+      const auto& vp = topo.vantage_points[i];
+      if (vp.share_fraction < 1.0 || vp.addpath_broken ||
+          vp.private_asn_injector || vp.duplicate_emitter) {
+        continue;
+      }
+      auto& rib = ref[i];
+      std::sort(rib.begin(), rib.end(),
+                [&](const bgp::RibRecord& a, const bgp::RibRecord& b) {
+                  if (a.prefix != b.prefix) return a.prefix < b.prefix;
+                  const auto la = paths.get(a.path).selection_length();
+                  const auto lb = paths.get(b.path).selection_length();
+                  if (la != lb) return la < lb;
+                  return a.path < b.path;
+                });
+      const std::size_t before = rib.size();
+      rib.erase(std::unique(rib.begin(), rib.end(),
+                            [](const bgp::RibRecord& a,
+                               const bgp::RibRecord& b) {
+                              return a.prefix == b.prefix;
+                            }),
+                rib.end());
+      collisions += before - rib.size();
+      EXPECT_EQ(snap.peers[i].records, rib) << "vp " << i;
+      ++checked;
+    }
+    EXPECT_GT(checked, 5u);
+  }
+  EXPECT_GT(collisions, 0u) << "no MOAS prefix was exercised";
+}
+
+#if BGPATOMS_OBS_ENABLED
+TEST(Simulator, RoutingWorkCountersAreDeterministic) {
+  auto& registry = obs::registry();
+  auto& propagations = registry.counter("routing.propagations");
+  auto& refreshed = registry.counter("routing.units_refreshed");
+  auto campaign = [&] {
+    registry.reset_values();
+    auto sim = make_sim(2012.0, 0.02, 9);
+    sim.capture();
+    sim.emit_updates(4 * kHour);
+    sim.advance_to(kDay);
+    sim.capture();
+    return std::pair{propagations.value(), refreshed.value()};
+  };
+  const auto first = campaign();
+  EXPECT_GT(first.first, 0u);
+  EXPECT_GE(first.second, first.first);
+  EXPECT_EQ(campaign(), first);
+}
+
+TEST(Simulator, FreshCaptureRunsOnePropagationPerPolicyGroup) {
+  auto& registry = obs::registry();
+  auto sim = make_sim(2012.0, 0.02, 9);
+  // With scenarios off every unit's scenario key is 0, so the groups are
+  // the distinct (origin, policy) pairs among non-empty units.
+  std::size_t units = 0;
+  std::size_t groups = 0;
+  for (const auto& of_origin : sim.policies().units_by_origin) {
+    std::vector<const UnitPolicy*> seen;
+    for (const UnitId u : of_origin) {
+      const auto& unit = sim.policies().units[u];
+      if (unit.prefixes.empty()) continue;
+      ++units;
+      if (std::none_of(seen.begin(), seen.end(), [&](const UnitPolicy* p) {
+            return *p == unit.policy;
+          })) {
+        seen.push_back(&unit.policy);
+      }
+    }
+    groups += seen.size();
+  }
+  ASSERT_LT(groups, units) << "no two units share a policy";
+  registry.reset_values();
+  sim.capture();
+  EXPECT_EQ(registry.counter("routing.propagations").value(), groups);
+  EXPECT_EQ(registry.counter("routing.units_refreshed").value(), units);
+  // A second capture with nothing dirty propagates nothing.
+  sim.capture();
+  EXPECT_EQ(registry.counter("routing.propagations").value(), groups);
+}
+#endif  // BGPATOMS_OBS_ENABLED
 
 }  // namespace
 }  // namespace bgpatoms::routing
