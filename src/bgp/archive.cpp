@@ -28,21 +28,22 @@ net::IpAddress read_address(ByteReader& r, net::Family f) {
   return net::IpAddress::v6(hi, lo);
 }
 
-void write_path(ByteWriter& w, const net::AsPath& p) {
-  w.varint(p.segments().size());
-  for (const auto& seg : p.segments()) {
+void write_path(ByteWriter& w, net::PathView p) {
+  const auto segments = p.segments();
+  w.varint(segments.size());
+  for (const net::SegmentView seg : segments) {
     w.u8(static_cast<std::uint8_t>(seg.type));
     w.varint(seg.asns.size());
     for (net::Asn a : seg.asns) w.varint(a);
   }
 }
 
-net::AsPath read_path(ByteReader& r) {
+/// Decodes one path straight into `pool`'s arena and interns it.
+PathId read_path(ByteReader& r, net::PathPool& pool) {
   const std::uint64_t nseg = r.varint();
   if (nseg > 1024) throw ArchiveError("absurd segment count");
   checked_count(r, nseg, kMinSegmentBytes, "path segments");
-  std::vector<net::PathSegment> segs;
-  segs.reserve(nseg);
+  pool.begin_path();
   for (std::uint64_t i = 0; i < nseg; ++i) {
     const auto type = static_cast<net::SegmentType>(r.u8());
     if (type != net::SegmentType::kSequence && type != net::SegmentType::kSet)
@@ -50,13 +51,11 @@ net::AsPath read_path(ByteReader& r) {
     const std::uint64_t n = r.varint();
     if (n == 0 || n > (1u << 20)) throw ArchiveError("bad segment length");
     checked_count(r, n, kMinAsnBytes, "segment ASNs");
-    net::PathSegment seg{type, {}};
-    seg.asns.reserve(n);
-    for (std::uint64_t k = 0; k < n; ++k)
-      seg.asns.push_back(static_cast<net::Asn>(r.varint()));
-    segs.push_back(std::move(seg));
+    for (net::Asn& a : pool.append_segment(type, n)) {
+      a = static_cast<net::Asn>(r.varint());
+    }
   }
-  return net::AsPath::from_segments(std::move(segs));
+  return pool.end_path();
 }
 
 PrefixId check_prefix(const Dataset& ds, std::uint64_t id) {
@@ -162,7 +161,7 @@ void decode_paths(ByteReader& r, Dataset& ds) {
   const std::uint64_t npaths =
       checked_count(r, r.varint(), kMinPathBytes, "paths");
   for (std::uint64_t i = 0; i < npaths; ++i) {
-    const PathId id = ds.paths.intern(read_path(r));
+    const PathId id = read_path(r, ds.paths);
     if (id != i + 1) throw ArchiveError("duplicate path in dictionary");
   }
 }
@@ -264,39 +263,33 @@ namespace {
 
 using namespace archive_detail;
 
-void append_section(std::vector<std::uint8_t>& out, Section id,
-                    ByteWriter&& payload) {
-  const auto body = payload.take();
-  ByteWriter frame;
-  frame.u8(static_cast<std::uint8_t>(id));
-  frame.u64(body.size());
-  const auto& h = frame.buffer();
-  out.insert(out.end(), h.begin(), h.end());
-  out.insert(out.end(), body.begin(), body.end());
-  ByteWriter tail;
-  tail.u32(crc32(std::span<const std::uint8_t>(body.data(), body.size())));
-  const auto& t = tail.buffer();
-  out.insert(out.end(), t.begin(), t.end());
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> write_archive(const Dataset& ds) {
-  std::vector<std::uint8_t> out;
-  out.reserve(64);
-  for (char c : kMagicV2) out.push_back(static_cast<std::uint8_t>(c));
-  out.push_back(static_cast<std::uint8_t>(ds.family));
+/// Emits the archive image of `ds` through `put(bytes, n)`: the header,
+/// then each section framed as id, length, body and CRC-32. Every body is
+/// encoded into one reused buffer, so no whole image is ever built.
+template <typename Put>
+void emit_archive(const Dataset& ds, Put&& put) {
+  ByteWriter frame;  // the header, then each section's id + length or CRC
+  const auto put_frame = [&] {
+    put(frame.buffer().data(), frame.buffer().size());
+    frame.clear();
+  };
+  frame.bytes(kMagicV2, sizeof(kMagicV2));
+  frame.u8(static_cast<std::uint8_t>(ds.family));
   // Header CRC: magic and family are outside every section, so they get
   // their own checksum — a flipped family bit must not mis-decode prefixes.
-  const std::uint32_t head_crc =
-      crc32(std::span<const std::uint8_t>(out.data(), out.size()));
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(head_crc >> (8 * i)));
+  frame.u32(crc32(frame.buffer()));
+  put_frame();
 
-  const auto section = [&out](Section id, auto&& fill) {
-    ByteWriter w;
-    fill(w);
-    append_section(out, id, std::move(w));
+  ByteWriter body;
+  const auto section = [&](Section id, auto&& fill) {
+    body.clear();
+    fill(body);
+    frame.u8(static_cast<std::uint8_t>(id));
+    frame.u64(body.buffer().size());
+    put_frame();
+    put(body.buffer().data(), body.buffer().size());
+    frame.u32(crc32(body.buffer()));
+    put_frame();
   };
   section(Section::kCollectors, [&](ByteWriter& w) { encode_collectors(w, ds); });
   section(Section::kPaths, [&](ByteWriter& w) { encode_paths(w, ds); });
@@ -314,17 +307,27 @@ std::vector<std::uint8_t> write_archive(const Dataset& ds) {
     section(Section::kUpdates,
             [&](ByteWriter& w) { encode_updates(w, ds.updates, begin, end); });
   }
-  append_section(out, Section::kEnd, ByteWriter{});
+  section(Section::kEnd, [](ByteWriter&) {});
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> write_archive(const Dataset& ds) {
+  std::vector<std::uint8_t> out;
+  emit_archive(ds, [&out](const std::uint8_t* p, std::size_t n) {
+    out.insert(out.end(), p, p + n);
+  });
   return out;
 }
 
 void write_archive_file(const Dataset& ds, const std::string& path) {
-  const auto image = write_archive(ds);
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "wb"), &std::fclose);
   if (!f) throw ArchiveError("cannot open for writing: " + path);
-  if (std::fwrite(image.data(), 1, image.size(), f.get()) != image.size())
-    throw ArchiveError("short write: " + path);
+  emit_archive(ds, [&](const std::uint8_t* p, std::size_t n) {
+    if (n != 0 && std::fwrite(p, 1, n, f.get()) != n)
+      throw ArchiveError("short write: " + path);
+  });
   if (std::fflush(f.get()) != 0) throw ArchiveError("short write: " + path);
 }
 

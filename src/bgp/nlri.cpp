@@ -8,13 +8,13 @@ std::size_t nlri_bytes(const net::Prefix& prefix) {
   return 1 + static_cast<std::size_t>((prefix.length() + 7) / 8);
 }
 
-std::size_t attribute_bytes(const net::AsPath& path,
+std::size_t attribute_bytes(net::PathView path,
                             std::span<const Community> communities) {
   // ORIGIN: flags+type+len+value = 4.
   std::size_t n = 4;
   // AS_PATH: flags+type+extlen(2) + per segment (type+count) + 4B per ASN.
   n += 4;
-  for (const auto& seg : path.segments()) {
+  for (const net::SegmentView seg : path.segments()) {
     n += 2 + 4 * seg.asns.size();
   }
   // NEXT_HOP: 4 + address (IPv4 form; MP_REACH differs but the same order).

@@ -31,29 +31,6 @@ void check_packing_limits(std::size_t vp_count, std::size_t path_count) {
 
 namespace {
 
-/// Memoized origin AS per interned path id (0 = none/unknown). Atoms
-/// share paths heavily, so deriving each referenced path's origin once
-/// replaces the per-(vp, path) AsPath::origin() walks that dominated
-/// finalize; memoizing lazily keeps unreferenced pool entries free.
-class OriginCache {
- public:
-  explicit OriginCache(const net::PathPool& pool)
-      : pool_(pool), origin_(pool.size(), 0), seen_(pool.size(), 0) {}
-
-  net::Asn get(bgp::PathId id) {
-    if (!seen_[id]) {
-      seen_[id] = 1;
-      if (const auto o = pool_.get(id).origin()) origin_[id] = *o;
-    }
-    return origin_[id];
-  }
-
- private:
-  const net::PathPool& pool_;
-  std::vector<net::Asn> origin_;
-  std::vector<std::uint8_t> seen_;
-};
-
 constexpr std::size_t kParallelMinPrefixes = 4096;
 
 /// Rejects malformed AtomOptions::vp_subset values before any kernel
@@ -86,7 +63,7 @@ void fill_atom_bodies(AtomSet& out,
                       const AtomSignatureMatrix& matrix, TaskPool* pool) {
   const SanitizedSnapshot& snapshot = *out.snapshot;
   const std::size_t num_vps = matrix.num_vps();
-  OriginCache origin_of(out.paths());
+  const net::PathPool& paths = out.paths();
   out.atoms.resize(groups.size());
   // Atom bodies are independent: prefixes come from the group, paths
   // straight off the group's signature row (ascending VP order by
@@ -124,7 +101,7 @@ void fill_atom_bodies(AtomSet& out,
     Atom& atom = out.atoms[a];
     for (const auto& [vp, path] : atom.paths) {
       (void)vp;
-      const net::Asn o = origin_of.get(path);
+      const net::Asn o = paths.get(path).origin().value_or(0);
       if (o == 0) continue;
       if (atom.origin == 0) {
         atom.origin = o;

@@ -39,18 +39,13 @@ RunSplit split_runs(std::span<const net::AsRun> a,
 
 }  // namespace
 
-std::int32_t split_point(const net::AsPath& a, const net::AsPath& b,
+std::int32_t split_point(net::PathView a, net::PathView b,
                          PrependMethod method) {
   if (a.empty() || b.empty()) return a.empty() && b.empty() ? INT32_MAX : 1;
   const bool count_aware = method == PrependMethod::kRunAware;
-  const auto ra = (method == PrependMethod::kStripAfterGrouping
-                       ? a.stripped()
-                       : a)
-                      .runs_from_origin();
-  const auto rb = (method == PrependMethod::kStripAfterGrouping
-                       ? b.stripped()
-                       : b)
-                      .runs_from_origin();
+  const bool strip = method == PrependMethod::kStripAfterGrouping;
+  const auto ra = strip ? a.stripped().runs_from_origin() : a.runs_from_origin();
+  const auto rb = strip ? b.stripped().runs_from_origin() : b.runs_from_origin();
   return split_runs(ra, rb, count_aware).distance;
 }
 
@@ -92,10 +87,10 @@ FormationResult formation_distance(const AtomSet& atoms,
   std::vector<char> runs_ready(pool.size(), 0);
   auto runs_of = [&](bgp::PathId id) -> std::span<const net::AsRun> {
     if (!runs_ready[id]) {
-      const net::AsPath& p = pool.get(id);
-      runs[id] = (method == PrependMethod::kStripAfterGrouping ? p.stripped()
-                                                               : p)
-                     .runs_from_origin();
+      const net::PathView p = pool.get(id);
+      runs[id] = method == PrependMethod::kStripAfterGrouping
+                     ? p.stripped().runs_from_origin()
+                     : p.runs_from_origin();
       runs_ready[id] = 1;
     }
     return runs[id];

@@ -107,7 +107,7 @@ std::uint32_t IncrementalAtoms::local_path_id(bgp::PathId stream_id) {
   if (memo != kUnmapped) return memo;
   // Same AS_SET policy as sanitize pass 3: multi-member sets drop the
   // announcement, singleton sets are expanded before interning.
-  const net::AsPath& raw = stream_paths_->get(stream_id);
+  const net::PathView raw = stream_paths_->get(stream_id);
   if (raw.has_set()) {
     if (!raw.sets_all_singleton()) {
       memo = kDroppedPath;
@@ -115,7 +115,7 @@ std::uint32_t IncrementalAtoms::local_path_id(bgp::PathId stream_id) {
     }
     memo = pool_->intern(raw.with_singleton_sets_expanded());
   } else {
-    memo = pool_->intern(raw);
+    memo = pool_->intern(*stream_paths_, stream_id);
   }
   check_packing_limits(matrix_.num_vps(), pool_->size());
   return memo;

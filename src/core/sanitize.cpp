@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "net/asn.h"
+#include "obs/obs.h"
 
 namespace bgpatoms::core {
 
@@ -39,15 +40,10 @@ namespace {
 /// members count in stored order). The peer's own leading hop may
 /// legitimately repeat; a bogon *behind* it signals injection (the
 /// AS65000 case).
-bool bogon_behind_head(const net::AsPath& path) {
-  bool head = true;
-  for (const auto& seg : path.segments()) {
-    for (const net::Asn asn : seg.asns) {
-      if (!head && net::is_bogon_asn(asn)) return true;
-      head = false;
-    }
-  }
-  return false;
+bool bogon_behind_head(net::PathView path) {
+  const auto hops = path.hops();
+  return !hops.empty() &&
+         std::any_of(hops.begin() + 1, hops.end(), net::is_bogon_asn);
 }
 
 struct PeerScan {
@@ -148,119 +144,132 @@ SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
   std::vector<const bgp::PeerFeed*> kept;
   std::vector<std::uint32_t> kept_index;
   std::vector<PeerScan> scans;
-  std::vector<std::int8_t> bogon(n_paths, -1);
-  for (std::uint32_t raw = 0; raw < snap.peers.size(); ++raw) {
-    const auto& feed = snap.peers[raw];
-    const PeerScan s = scan_peer(src.paths(), feed, raw + 1, stamp, bogon);
-    if (config.remove_abnormal_peers && s.records > 0) {
-      const double corrupt_share =
-          static_cast<double>(s.corrupt) / static_cast<double>(s.records);
-      const double dup_share =
-          static_cast<double>(s.duplicates) / static_cast<double>(s.records);
-      const double bogon_share =
-          static_cast<double>(s.bogon_paths) / static_cast<double>(s.records);
-      if (corrupt_share > config.addpath_artifact_threshold) {
-        rep.removed_peers.push_back(
-            {feed.peer, PeerRemovalReason::kAddPathArtifacts, corrupt_share});
-        continue;
+  {
+    OBS_SPAN("sanitize.peers");
+    std::vector<std::int8_t> bogon(n_paths, -1);
+    for (std::uint32_t raw = 0; raw < snap.peers.size(); ++raw) {
+      const auto& feed = snap.peers[raw];
+      const PeerScan s = scan_peer(src.paths(), feed, raw + 1, stamp, bogon);
+      if (config.remove_abnormal_peers && s.records > 0) {
+        const double corrupt_share =
+            static_cast<double>(s.corrupt) / static_cast<double>(s.records);
+        const double dup_share =
+            static_cast<double>(s.duplicates) / static_cast<double>(s.records);
+        const double bogon_share =
+            static_cast<double>(s.bogon_paths) / static_cast<double>(s.records);
+        if (corrupt_share > config.addpath_artifact_threshold) {
+          rep.removed_peers.push_back(
+              {feed.peer, PeerRemovalReason::kAddPathArtifacts, corrupt_share});
+          continue;
+        }
+        if (bogon_share > config.private_asn_threshold) {
+          rep.removed_peers.push_back({feed.peer,
+                                       PeerRemovalReason::kPrivateAsnInjection,
+                                       bogon_share});
+          continue;
+        }
+        if (dup_share > config.duplicate_threshold) {
+          rep.removed_peers.push_back(
+              {feed.peer, PeerRemovalReason::kExcessiveDuplicates, dup_share});
+          continue;
+        }
       }
-      if (bogon_share > config.private_asn_threshold) {
-        rep.removed_peers.push_back(
-            {feed.peer, PeerRemovalReason::kPrivateAsnInjection, bogon_share});
-        continue;
-      }
-      if (dup_share > config.duplicate_threshold) {
-        rep.removed_peers.push_back(
-            {feed.peer, PeerRemovalReason::kExcessiveDuplicates, dup_share});
-        continue;
-      }
+      kept.push_back(&feed);
+      kept_index.push_back(raw);
+      scans.push_back(s);
     }
-    kept.push_back(&feed);
-    kept_index.push_back(raw);
-    scans.push_back(s);
-  }
 
-  // --- pass 2: full-feed inference ----------------------------------------
-  std::size_t max_unique = 0;
-  for (const auto& s : scans) max_unique = std::max(max_unique, s.unique_prefixes);
-  rep.max_unique_prefixes = max_unique;
-  // §2.4 rule: full-feed means carrying >= full_feed_fraction of the
-  // maximum unique-prefix count. The threshold is the smallest integer
-  // count satisfying that (ceil, with an epsilon absorbing the fraction's
-  // binary representation error) — a plain floor cast plus a strict
-  // comparison would exclude a peer sitting exactly on the boundary.
-  const auto full_feed_min = static_cast<std::size_t>(
-      std::ceil(config.full_feed_fraction * static_cast<double>(max_unique) -
-                1e-9));
-  if (config.full_feed_only) {
-    std::vector<const bgp::PeerFeed*> full;
-    std::vector<std::uint32_t> full_index;
-    std::vector<PeerScan> full_scans;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      if (scans[i].unique_prefixes >= full_feed_min) {
-        full.push_back(kept[i]);
-        full_index.push_back(kept_index[i]);
-        full_scans.push_back(scans[i]);
-      } else {
-        rep.removed_peers.push_back(
-            {kept[i]->peer, PeerRemovalReason::kPartialFeed,
-             max_unique == 0
-                 ? 0.0
-                 : static_cast<double>(scans[i].unique_prefixes) /
-                       static_cast<double>(max_unique)});
-      }
+    // --- pass 2: full-feed inference ----------------------------------------
+    std::size_t max_unique = 0;
+    for (const auto& s : scans) {
+      max_unique = std::max(max_unique, s.unique_prefixes);
     }
-    kept = std::move(full);
-    kept_index = std::move(full_index);
-    scans = std::move(full_scans);
+    rep.max_unique_prefixes = max_unique;
+    // §2.4 rule: full-feed means carrying >= full_feed_fraction of the
+    // maximum unique-prefix count. The threshold is the smallest integer
+    // count satisfying that (ceil, with an epsilon absorbing the fraction's
+    // binary representation error) — a plain floor cast plus a strict
+    // comparison would exclude a peer sitting exactly on the boundary.
+    const auto full_feed_min = static_cast<std::size_t>(
+        std::ceil(config.full_feed_fraction * static_cast<double>(max_unique) -
+                  1e-9));
+    if (config.full_feed_only) {
+      std::vector<const bgp::PeerFeed*> full;
+      std::vector<std::uint32_t> full_index;
+      std::vector<PeerScan> full_scans;
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        if (scans[i].unique_prefixes >= full_feed_min) {
+          full.push_back(kept[i]);
+          full_index.push_back(kept_index[i]);
+          full_scans.push_back(scans[i]);
+        } else {
+          rep.removed_peers.push_back(
+              {kept[i]->peer, PeerRemovalReason::kPartialFeed,
+               max_unique == 0
+                   ? 0.0
+                   : static_cast<double>(scans[i].unique_prefixes) /
+                         static_cast<double>(max_unique)});
+        }
+      }
+      kept = std::move(full);
+      kept_index = std::move(full_index);
+      scans = std::move(full_scans);
+    }
   }
   rep.full_feed_peers = kept.size();
 
   // --- pass 3: record cleaning into per-VP tables -------------------------
-  std::vector<CleanedPath> cleaned(n_paths);
-  out.vps.reserve(kept.size());
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    const auto* feedp = kept[k];
-    VpTable table;
-    table.peer = feedp->peer;
-    table.source_index = kept_index[k];
-    table.routes.reserve(feedp->records.size());
-    for (const auto& rec : feedp->records) {
-      if (bgp::is_addpath_artifact(rec.status)) {
-        ++rep.records_dropped_corrupt;
-        continue;
-      }
-      CleanedPath& path = cleaned[rec.path];
-      if (path.action == Cleaning::kUnseen) {
-        const auto& raw = src.paths().get(rec.path);
-        if (!raw.has_set()) {
-          path = {out.paths.intern(raw), Cleaning::kKeep};
-        } else if (raw.sets_all_singleton()) {
-          path = {out.paths.intern(raw.with_singleton_sets_expanded()),
-                  Cleaning::kExpand};
-        } else {
-          path.action = Cleaning::kDrop;
+  {
+    OBS_SPAN("sanitize.clean");
+    std::vector<CleanedPath> cleaned(n_paths);
+    std::size_t paths_cleaned = 0;
+    out.vps.reserve(kept.size());
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      const auto* feedp = kept[k];
+      VpTable table;
+      table.peer = feedp->peer;
+      table.source_index = kept_index[k];
+      table.routes.reserve(feedp->records.size());
+      for (const auto& rec : feedp->records) {
+        if (bgp::is_addpath_artifact(rec.status)) {
+          ++rep.records_dropped_corrupt;
+          continue;
         }
+        CleanedPath& path = cleaned[rec.path];
+        if (path.action == Cleaning::kUnseen) {
+          ++paths_cleaned;
+          const net::PathView raw = src.paths().get(rec.path);
+          if (!raw.has_set()) {
+            path = {out.paths.intern(src.paths(), rec.path), Cleaning::kKeep};
+          } else if (raw.sets_all_singleton()) {
+            path = {out.paths.intern(raw.with_singleton_sets_expanded()),
+                    Cleaning::kExpand};
+          } else {
+            path.action = Cleaning::kDrop;
+          }
+        }
+        if (path.action == Cleaning::kDrop) {
+          ++rep.records_dropped_asset;
+          continue;
+        }
+        if (path.action == Cleaning::kExpand) ++rep.asset_paths_expanded;
+        table.routes.emplace_back(rec.prefix, path.id);
       }
-      if (path.action == Cleaning::kDrop) {
-        ++rep.records_dropped_asset;
-        continue;
-      }
-      if (path.action == Cleaning::kExpand) ++rep.asset_paths_expanded;
-      table.routes.emplace_back(rec.prefix, path.id);
+      std::sort(table.routes.begin(), table.routes.end());
+      // Deduplicate (first wins; exact duplicates collapse silently).
+      table.routes.erase(
+          std::unique(table.routes.begin(), table.routes.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first == b.first;
+                      }),
+          table.routes.end());
+      out.vps.push_back(std::move(table));
     }
-    std::sort(table.routes.begin(), table.routes.end());
-    // Deduplicate (first wins; exact duplicates collapse silently).
-    table.routes.erase(
-        std::unique(table.routes.begin(), table.routes.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first == b.first;
-                    }),
-        table.routes.end());
-    out.vps.push_back(std::move(table));
+    OBS_COUNT_N("sanitize.paths_cleaned", paths_cleaned);
   }
 
   // --- pass 4: prefix filtering -------------------------------------------
+  OBS_SPAN("sanitize.filter");
   std::vector<std::uint32_t> collectors(n_prefixes, 0);
   std::vector<std::uint32_t> peer_ases(n_prefixes, 0);
   count_distinct(

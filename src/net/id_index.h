@@ -6,8 +6,9 @@
 // without allocating per entry: an open-addressing table of ids
 // (power-of-two slots, linear probing, load <= 0.5) plus one hash per id.
 // The per-id hashes let the table grow without rehashing the values and
-// let most probe mismatches skip the pool's full equality check. Copying
-// an index is two vector copies.
+// let most probe mismatches skip the pool's full equality check; a pool
+// re-interning another pool's value reuses the stored hash. Copying an
+// index is two vector copies.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +42,9 @@ class IdIndex {
       if (hashes_[id] == hash && equal(id)) return {id, false};
     }
   }
+
+  /// The content hash recorded for `id`.
+  std::uint64_t hash(Id id) const { return hashes_[id]; }
 
  private:
   static constexpr Id kFree = UINT32_MAX;

@@ -287,7 +287,7 @@ void Simulator::split_unit(UnitId u, bool vp_local) {
       }
       if (pick == SIZE_MAX) pick = rng_.next_below(paths.size());
       const auto& entry = paths[pick];
-      const auto hops = ds_.paths.get(entry.path).flat();
+      const auto hops = ds_.paths.get(entry.path).hops();
       if (hops.size() >= 2) {
         const NodeId vp_node = topo_.vantage_points[entry.vp].node;
         const NodeId parent = topo_.graph.find(hops[1]);
@@ -452,15 +452,6 @@ bgp::PathId Simulator::intern_hops(std::span<const net::Asn> hops,
        {net::SegmentType::kSet, std::move(tail)}}));
 }
 
-std::uint32_t Simulator::path_selection_length(bgp::PathId id) {
-  while (path_len_cache_.size() < ds_.paths.size()) {
-    path_len_cache_.push_back(static_cast<std::uint32_t>(
-        ds_.paths.get(static_cast<bgp::PathId>(path_len_cache_.size()))
-            .selection_length()));
-  }
-  return path_len_cache_[id];
-}
-
 std::size_t Simulator::capture() {
   OBS_SPAN("routing.capture");
   refresh_unit_paths();
@@ -524,10 +515,10 @@ std::size_t Simulator::capture() {
   return ds_.snapshots.size() - 1;
 }
 
-bool Simulator::wins_best_path(bgp::PathId a, bgp::PathId b) {
+bool Simulator::wins_best_path(bgp::PathId a, bgp::PathId b) const {
   // Shorter path first, then the lower path id.
-  const auto la = path_selection_length(a);
-  const auto lb = path_selection_length(b);
+  const int la = ds_.paths.get(a).selection_length();
+  const int lb = ds_.paths.get(b).selection_length();
   return la != lb ? la < lb : a < b;
 }
 
@@ -576,7 +567,7 @@ void Simulator::inject_faults(std::uint16_t vp_index,
 bgp::PathId Simulator::inject_private_asn(bgp::PathId id) {
   const auto it = private_asn_cache_.find(id);
   if (it != private_asn_cache_.end()) return it->second;
-  const auto hops = ds_.paths.get(id).flat();
+  const auto hops = ds_.paths.get(id).hops();
   std::vector<net::Asn> mangled;
   mangled.reserve(hops.size() + 1);
   if (!hops.empty()) {
@@ -902,7 +893,7 @@ std::vector<UnitId> Simulator::leak_affected_units(NodeId leaker) const {
     if (policies_.units[u].prefixes.empty() || unit_suppressed_[u]) continue;
     if (policies_.units[u].origin == leaker) continue;
     for (const auto& entry : unit_paths_[u]) {
-      const auto hops = ds_.paths.get(entry.path).flat();
+      const auto hops = ds_.paths.get(entry.path).hops();
       if (std::find(hops.begin(), hops.end(), leaker_asn) != hops.end()) {
         out.push_back(u);
         break;

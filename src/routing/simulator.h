@@ -155,8 +155,7 @@ class Simulator {
   bgp::PathId intern_hops(std::span<const net::Asn> hops,
                           std::uint8_t as_set_mode);
   /// True if path `a` beats path `b` in best-path selection.
-  bool wins_best_path(bgp::PathId a, bgp::PathId b);
-  std::uint32_t path_selection_length(bgp::PathId id);
+  bool wins_best_path(bgp::PathId a, bgp::PathId b) const;
   void inject_faults(std::uint16_t vp_index,
                      std::vector<bgp::RibRecord>& rib);
   std::vector<OriginUnit> policy_clusters() const;
@@ -229,7 +228,6 @@ class Simulator {
   // caches / scratch
   RouteTable scratch_table_;
   std::vector<net::Asn> hops_;  // compute_unit_group's path buffer
-  std::vector<std::uint32_t> path_len_cache_;
   std::unordered_map<bgp::PathId, bgp::PathId> private_asn_cache_;
 };
 

@@ -61,7 +61,7 @@ std::optional<Record> FileRecordReader::next_rib() {
     out.peer_asn = feed.peer.asn;
     out.peer_address = feed.peer.address;
     out.prefix = prefix;
-    out.path = &reader_.paths().get(rec.path);
+    out.path = reader_.paths().get(rec.path);
     out.communities = reader_.communities().get(rec.communities);
     out.status = rec.status;
     ++count_;
@@ -119,7 +119,7 @@ std::optional<Record> FileRecordReader::next_update() {
     out.peer_asn = peer_asn;
     out.peer_address = peer_addr;
     out.prefix = prefix;
-    out.path = is_announce ? &reader_.paths().get(u.path) : nullptr;
+    if (is_announce) out.path = reader_.paths().get(u.path);
     out.communities = reader_.communities().get(u.communities);
     ++count_;
     return out;

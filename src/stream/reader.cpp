@@ -47,7 +47,7 @@ std::optional<Record> RecordReader::next() {
     out.peer_asn = feed.peer.asn;
     out.peer_address = feed.peer.address;
     out.prefix = prefix;
-    out.path = &ds_.paths.get(rec.path);
+    out.path = ds_.paths.get(rec.path);
     out.communities = ds_.communities.get(rec.communities);
     out.status = rec.status;
     ++count_;
@@ -95,7 +95,7 @@ std::optional<Record> RecordReader::next() {
     out.peer_asn = peer_asn;
     out.peer_address = peer_addr;
     out.prefix = prefix;
-    out.path = is_announce ? &ds_.paths.get(u.path) : nullptr;
+    if (is_announce) out.path = ds_.paths.get(u.path);
     out.communities = ds_.communities.get(u.communities);
     ++count_;
     return out;

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "net/rng.h"
+#include "obs/obs.h"
 #include "topo/topology.h"
 
 namespace bgpatoms::topo {
@@ -431,6 +432,7 @@ class Generator {
 }  // namespace
 
 Topology generate_topology(const EraParams& params, std::uint64_t seed) {
+  OBS_SPAN("topo.generate");
   Generator gen(params, seed);
   return gen.run();
 }

@@ -2,6 +2,9 @@
 // ArchiveReader, its one decoder, over files and in-memory images.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "bgp/archive.h"
 #include "bgp/archive_reader.h"
 #include "testutil.h"
@@ -135,6 +138,64 @@ TEST(Archive, FileRoundTrip) {
   const Dataset ds = make_dataset();
   write_archive_file(ds, file.path());
   expect_equal(ds, read_archive_file(file.path()));
+}
+
+TEST(Archive, MixedSegmentPathsRoundTrip) {
+  // Paths the hop arena stores with segment bounds (sets, singleton sets,
+  // split sequences, a set-only path) beside plain sequences; split
+  // sequences must stay distinct from their merged form.
+  using net::SegmentType;
+  const std::vector<std::vector<net::PathSegment>> shapes = {
+      {{SegmentType::kSequence, {1, 2}}},
+      {{SegmentType::kSequence, {1}}, {SegmentType::kSequence, {2}}},
+      {{SegmentType::kSequence, {64496, 174}},
+       {SegmentType::kSet, {2914, 3257}}},
+      {{SegmentType::kSet, {5}}, {SegmentType::kSequence, {6, 6, 7}}},
+      {{SegmentType::kSequence, {8}},
+       {SegmentType::kSet, {9}},
+       {SegmentType::kSequence, {10}}},
+      {{SegmentType::kSet, {11, 12}}},
+  };
+  Dataset ds;
+  ds.family = net::Family::kIPv4;
+  ds.collectors = {"rrc00"};
+  const PrefixId prefix = ds.prefixes.intern(*net::Prefix::parse("10.0.0.0/8"));
+  Snapshot snap;
+  PeerFeed feed;
+  feed.peer = {64496, net::IpAddress::v4(0xC6120001u), 0};
+  for (const auto& segs : shapes) {
+    const PathId id = ds.paths.intern(net::AsPath::from_segments(segs));
+    feed.records.push_back({prefix, id, 0, RecordStatus::kValid});
+  }
+  snap.peers.push_back(feed);
+  ds.snapshots.push_back(std::move(snap));
+  ASSERT_EQ(ds.paths.size(), shapes.size() + 1);
+
+  const auto image = write_archive(ds);
+  const TempFile file("bga_mixed.bga");
+  write_archive_file(ds, file.path());
+  std::vector<std::uint8_t> on_disk(image.size() + 1);
+  std::FILE* f = std::fopen(file.path().c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  on_disk.resize(std::fread(on_disk.data(), 1, on_disk.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(on_disk, image);  // the streamed file is the in-memory image
+
+  const Dataset back = read_archive(image);
+  expect_equal(ds, back);
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto path = back.paths.get(static_cast<PathId>(i + 1));
+    ASSERT_EQ(path.segments().size(), shapes[i].size()) << i;
+    for (std::size_t k = 0; k < shapes[i].size(); ++k) {
+      const net::SegmentView seg = path.segments()[k];
+      EXPECT_EQ(seg.type, shapes[i][k].type) << i;
+      EXPECT_TRUE(std::equal(seg.asns.begin(), seg.asns.end(),
+                             shapes[i][k].asns.begin(),
+                             shapes[i][k].asns.end()))
+          << i;
+    }
+  }
+  EXPECT_NE(back.paths.get(1), back.paths.get(2));  // "1 2" vs "1" "2"
 }
 
 TEST(Archive, MissingFileThrows) {

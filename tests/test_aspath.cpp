@@ -2,8 +2,12 @@
 // prepending semantics and the AS_SET handling of §2.4.4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/aspath.h"
@@ -194,67 +198,224 @@ TEST(PathPool, ManyPathsStayConsistent) {
 }
 
 
-// A random path over a small ASN alphabet, so a long stream mixes repeats
-// (pool hits) with first sights (misses that grow the index): pure
-// sequences, prepended hops, AS_SETs and the empty path.
-AsPath random_path(std::mt19937_64& rng) {
+// A random path over a small ASN alphabet, as its segment list, so a long
+// stream mixes repeats (pool hits) with first sights (misses that grow the
+// index): pure sequences, prepended hops, AS_SETs, singleton sets, split
+// sequences, set-only paths and the empty path.
+std::vector<PathSegment> random_segments(std::mt19937_64& rng) {
   const auto below = [&](std::uint64_t n) { return rng() % n; };
   const auto asn = [&] { return static_cast<Asn>(1 + below(24)); };
-  std::vector<PathSegment> segs;
-  switch (below(8)) {
+  const auto seq = [](std::vector<Asn> v) {
+    return PathSegment{SegmentType::kSequence, std::move(v)};
+  };
+  const auto set = [](std::vector<Asn> v) {
+    return PathSegment{SegmentType::kSet, std::move(v)};
+  };
+  switch (below(10)) {
     case 0:
-      return AsPath();
+      return {};
     case 1: {  // prepended: one hop repeated 2-4 times
       std::vector<Asn> hops{asn(), asn()};
       hops.insert(hops.begin() + 1, 1 + below(3), hops[0]);
-      return AsPath::sequence(std::move(hops));
+      return {seq(std::move(hops))};
     }
     case 2:  // sequence with an aggregated AS_SET tail
-      segs.push_back({SegmentType::kSequence, {asn(), asn()}});
-      segs.push_back({SegmentType::kSet, {asn(), asn()}});
-      return AsPath::from_segments(std::move(segs));
+      return {seq({asn(), asn()}), set({asn(), asn()})};
     case 3:  // singleton set inside a sequence
-      segs.push_back({SegmentType::kSequence, {asn()}});
-      segs.push_back({SegmentType::kSet, {asn()}});
-      segs.push_back({SegmentType::kSequence, {asn()}});
-      return AsPath::from_segments(std::move(segs));
+      return {seq({asn()}), set({asn()}), seq({asn()})};
+    case 4:  // split sequence: [SEQ{a}, SEQ{b}] is not SEQ{a, b}
+      return {seq({asn()}), seq({asn()})};
+    case 5:  // set only
+      return {set({asn(), asn()})};
     default: {
       std::vector<Asn> hops(1 + below(5));
       for (auto& h : hops) h = asn();
-      return AsPath::sequence(std::move(hops));
+      return {seq(std::move(hops))};
     }
   }
 }
 
-bool is_pure_sequence(const AsPath& p) {
-  return p.empty() || (p.segments().size() == 1 &&
-                       p.segments()[0].type == SegmentType::kSequence);
+// Reference answers computed straight from the segment list, sharing no
+// code with PathView.
+using SegmentKey = std::vector<std::pair<int, std::vector<Asn>>>;
+
+SegmentKey key_of(const std::vector<PathSegment>& segs) {
+  SegmentKey key;
+  for (const auto& s : segs) {
+    key.emplace_back(static_cast<int>(s.type), s.asns);
+  }
+  return key;
+}
+
+std::optional<Asn> ref_origin(const std::vector<PathSegment>& segs) {
+  if (segs.empty()) return std::nullopt;
+  const auto& last = segs.back();
+  if (last.type == SegmentType::kSequence) return last.asns.back();
+  if (last.asns.size() == 1) return last.asns.front();
+  return std::nullopt;
+}
+
+int ref_selection_length(const std::vector<PathSegment>& segs) {
+  int n = 0;
+  for (const auto& s : segs) {
+    n += s.type == SegmentType::kSet ? 1 : static_cast<int>(s.asns.size());
+  }
+  return n;
+}
+
+std::vector<Asn> ref_flat(const std::vector<PathSegment>& segs) {
+  std::vector<Asn> out;
+  for (const auto& s : segs) {
+    out.insert(out.end(), s.asns.begin(), s.asns.end());
+  }
+  return out;
+}
+
+std::string ref_to_string(const std::vector<PathSegment>& segs) {
+  std::string out;
+  for (const auto& s : segs) {
+    if (!out.empty()) out += ' ';
+    std::string body;
+    for (const Asn a : s.asns) {
+      body += (body.empty() ? "" : " ") + std::to_string(a);
+    }
+    out += s.type == SegmentType::kSet ? "[" + body + "]" : body;
+  }
+  return out;
+}
+
+std::vector<AsRun> ref_runs(const std::vector<PathSegment>& segs) {
+  std::vector<AsRun> runs;
+  const auto hops = ref_flat(segs);
+  for (std::size_t i = hops.size(); i-- > 0;) {
+    if (!runs.empty() && runs.back().asn == hops[i]) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({hops[i], 1});
+    }
+  }
+  return runs;
+}
+
+/// Every PathView query of `view` against the reference answers for
+/// `segs`, and against the owning AsPath built from them.
+void expect_view_matches(PathView view, const std::vector<PathSegment>& segs) {
+  const bool has_set =
+      std::any_of(segs.begin(), segs.end(),
+                  [](const auto& s) { return s.type == SegmentType::kSet; });
+  const bool all_singleton =
+      std::all_of(segs.begin(), segs.end(), [](const auto& s) {
+        return s.type == SegmentType::kSequence || s.asns.size() == 1;
+      });
+  const auto flat = ref_flat(segs);
+  EXPECT_EQ(view.empty(), segs.empty());
+  EXPECT_EQ(view.origin(), ref_origin(segs));
+  EXPECT_EQ(view.head(),
+            flat.empty() ? std::nullopt : std::optional<Asn>(flat.front()));
+  EXPECT_EQ(view.has_set(), has_set);
+  EXPECT_EQ(view.sets_all_singleton(), all_singleton);
+  EXPECT_EQ(view.selection_length(), ref_selection_length(segs));
+  EXPECT_EQ(view.flat(), flat);
+  EXPECT_TRUE(std::equal(view.hops().begin(), view.hops().end(), flat.begin(),
+                         flat.end()));
+  EXPECT_EQ(view.runs_from_origin(), ref_runs(segs));
+  EXPECT_EQ(view.to_string(), ref_to_string(segs));
+  ASSERT_EQ(view.segments().size(), segs.size());
+  std::size_t k = 0;
+  for (const SegmentView seg : view.segments()) {
+    EXPECT_EQ(seg.type, segs[k].type);
+    EXPECT_TRUE(std::equal(seg.asns.begin(), seg.asns.end(),
+                           segs[k].asns.begin(), segs[k].asns.end()));
+    ++k;
+  }
+  const AsPath owned = AsPath::from_segments(segs);
+  EXPECT_EQ(view, owned);
+  EXPECT_EQ(view.hash(), owned.hash());
+  EXPECT_EQ(view.stripped(), owned.stripped());
+  EXPECT_EQ(view.with_singleton_sets_expanded(),
+            owned.with_singleton_sets_expanded());
+}
+
+/// Interns `segs` through one of the pool's three entry points: an owning
+/// path, the hop span (pure sequences) or in place, segment by segment.
+PathPool::PathId intern_some_way(PathPool& pool,
+                                 const std::vector<PathSegment>& segs,
+                                 std::uint64_t how) {
+  const bool pure_sequence =
+      segs.empty() ||
+      (segs.size() == 1 && segs[0].type == SegmentType::kSequence);
+  if (how % 3 == 0 && pure_sequence) {
+    return pool.intern_sequence(ref_flat(segs));
+  }
+  if (how % 3 == 1) {
+    pool.begin_path();
+    for (const auto& seg : segs) {
+      const auto hops = pool.append_segment(seg.type, seg.asns.size());
+      std::copy(seg.asns.begin(), seg.asns.end(), hops.begin());
+    }
+    return pool.end_path();
+  }
+  return pool.intern(AsPath::from_segments(segs));
 }
 
 TEST(PathPool, MatchesFirstSightMapOracle) {
   std::mt19937_64 rng(20240917);
   PathPool pool;
-  std::map<AsPath, PathPool::PathId> oracle{{AsPath(), 0}};
+  std::map<SegmentKey, PathPool::PathId> oracle{{SegmentKey{}, 0}};
+  std::vector<std::vector<PathSegment>> by_id{{}};
   std::size_t hits = 0;
   std::size_t mismatches = 0;
   for (int i = 0; i < 50000; ++i) {
-    const AsPath p = random_path(rng);
-    const auto [it, fresh] =
-        oracle.emplace(p, static_cast<PathPool::PathId>(oracle.size()));
+    const auto segs = random_segments(rng);
+    const auto [it, fresh] = oracle.emplace(
+        key_of(segs), static_cast<PathPool::PathId>(oracle.size()));
+    if (fresh) by_id.push_back(segs);
     hits += fresh ? 0 : 1;
-    const auto flat = p.flat();
-    const PathPool::PathId got = is_pure_sequence(p) && (rng() & 1)
-                                     ? pool.intern_sequence(flat)
-                                     : pool.intern(p);
+    const PathPool::PathId got = intern_some_way(pool, segs, rng());
     mismatches += got == it->second ? 0 : 1;
   }
   EXPECT_EQ(mismatches, 0u);
   ASSERT_EQ(pool.size(), oracle.size());
-  for (const auto& [path, id] : oracle) EXPECT_EQ(pool.get(id), path);
+  for (PathPool::PathId id = 0; id < by_id.size(); ++id) {
+    SCOPED_TRACE(testing::Message() << "path id " << id);
+    expect_view_matches(pool.get(id), by_id[id]);
+  }
   // Enough first sights for several table growths, and enough repeats
   // that the hit path carries the test too.
   EXPECT_GT(oracle.size(), 10000u);
   EXPECT_GT(hits, 10000u);
+}
+
+TEST(PathPool, InternFromPoolMatchesIntern) {
+  std::mt19937_64 rng(77);
+  PathPool src;
+  for (int i = 0; i < 5000; ++i) {
+    intern_some_way(src, random_segments(rng), rng());
+  }
+  // Two destinations that already share part of the source's paths: one
+  // re-interns by (pool, id), reusing the stored hash, the other interns
+  // an owning copy of each path.
+  PathPool by_id;
+  PathPool by_path;
+  for (int i = 0; i < 500; ++i) {
+    const auto segs = random_segments(rng);
+    by_id.intern(AsPath::from_segments(segs));
+    by_path.intern(AsPath::from_segments(segs));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const auto id = static_cast<PathPool::PathId>(rng() % src.size());
+    const auto a = by_id.intern(src, id);
+    const auto b = by_path.intern(AsPath(src.get(id)));
+    ASSERT_EQ(a, b) << "source id " << id;
+    EXPECT_EQ(by_id.get(a), src.get(id));
+  }
+  EXPECT_EQ(by_id.size(), by_path.size());
+  // A pool re-interning its own paths finds every one of them.
+  const std::size_t n = src.size();
+  for (PathPool::PathId id = 0; id < n; ++id) {
+    EXPECT_EQ(src.intern(src, id), id);
+  }
+  EXPECT_EQ(src.size(), n);
 }
 
 TEST(PathPool, InternSequenceAgreesWithInternEitherOrder) {

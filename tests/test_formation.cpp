@@ -84,6 +84,20 @@ TEST(SplitPoint, AsnMismatchBeforeCountMismatch) {
             1);
 }
 
+TEST(SplitPoint, PrependCountsBeyond16BitsStayDistinct) {
+  // 70,000 and 4,464 prepends of the origin differ by exactly 2^16: a
+  // 16-bit run count would wrap and make the two paths indistinguishable.
+  std::vector<net::Asn> many(70000, 1);
+  std::vector<net::Asn> few(70000 - 65536, 1);
+  many.insert(many.begin(), 9);
+  few.insert(few.begin(), 9);
+  const auto a = net::AsPath::sequence(many);
+  const auto b = net::AsPath::sequence(few);
+  ASSERT_EQ(a.runs_from_origin().front().count, 70000u);
+  EXPECT_EQ(split_point(a, b, PrependMethod::kRunAware), 1);
+  EXPECT_EQ(split_point(a, b, PrependMethod::kStripAfterGrouping), INT32_MAX);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-analysis tests on crafted atom sets.
 // ---------------------------------------------------------------------------

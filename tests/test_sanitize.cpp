@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sanitize.h"
+#include "obs/obs.h"
 #include "testutil.h"
 
 namespace bgpatoms::core {
@@ -306,6 +307,38 @@ TEST(Sanitize, ReasonStrings) {
                "ADD-PATH artifacts");
   EXPECT_STREQ(to_string(PeerRemovalReason::kPartialFeed), "partial feed");
 }
+
+#if BGPATOMS_OBS_ENABLED
+TEST(Sanitize, PathsCleanedCounterIsDeterministic) {
+  // Five distinct source paths reach record cleaning: "100 50" (carried
+  // by both peers), "100 [50]", "100 [50 60]", "200 50" (twice) and
+  // "200 60". The ADD-PATH artifact's path is never inspected.
+  DatasetBuilder b;
+  b.peer(100)
+      .route("10.0.0.0/16", "100 50")
+      .route("10.1.0.0/16", "100 50")
+      .route("10.2.0.0/16", "100 [50]")
+      .route("10.3.0.0/16", "100 [50 60]");
+  b.peer(200)
+      .route("10.0.0.0/16", "200 50")
+      .route("10.1.0.0/16", "100 50")
+      .route("10.2.0.0/16", "200 50")
+      .route("10.3.0.0/16", "200 60")
+      .route("10.4.0.0/16", "200 70", bgp::RecordStatus::kCorruptSubtype);
+  const SanitizeConfig config = test::lax_config();
+  auto& registry = obs::registry();
+  auto& cleaned = registry.counter("sanitize.paths_cleaned");
+  const auto run = [&] {
+    registry.reset_values();
+    const auto snap = sanitize(b.dataset(), 0, config);
+    EXPECT_EQ(snap.vps.size(), 2u);
+    return cleaned.value();
+  };
+  const std::uint64_t first = run();
+  EXPECT_EQ(first, 5u);
+  EXPECT_EQ(run(), first);
+}
+#endif
 
 }  // namespace
 }  // namespace bgpatoms::core

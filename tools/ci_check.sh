@@ -53,8 +53,11 @@ for stage in "${STAGES[@]}"; do
       ;;
     asan)
       # asan_smoke covers the archive decoder over files and in-memory
-      # images (test_archive, test_archive_fuzz, test_stream), the streamed
-      # analysis and the propagation/sanitize oracles (tests/CMakeLists.txt).
+      # images (test_archive, test_archive_fuzz, test_stream), the path
+      # arena and its views (test_aspath, test_sanitize, test_wire,
+      # test_wire_fuzz, test_mrt), the 8-byte CRC-32 loads (test_hash_rng),
+      # the streamed analysis and the propagation/sanitize oracles
+      # (tests/CMakeLists.txt).
       configure asan build-asan
       cmake --build --preset asan -j "${JOBS}"
       ctest --test-dir build-asan -L asan_smoke --output-on-failure -j "${JOBS}"
