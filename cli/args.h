@@ -1,21 +1,26 @@
 // Minimal command-line option parser shared by the CLI tools.
 //
 // Supports "--name value", "--name=value", "-x value" and boolean
-// "--flag"; positional arguments are collected in order. Tokens that
-// parse fully as numbers are never treated as option names, so negative
-// values work both as option values ("--seed -3") and as positionals.
+// "--flag"; positional arguments are collected in order. Each tool names
+// the options it understands through accept(); any other option is a
+// usage error. Tokens that parse fully as numbers are never treated as
+// option names, so negative values work both as option values
+// ("--seed -3") and as positionals.
 // Limitation: a flag followed by a bare token greedily binds it as the
 // flag's value — place positional arguments before flags (all tools here
 // do).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/env.h"
@@ -105,11 +110,27 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Prints usage and exits when --help was passed or `condition` holds.
+  /// Rejects every option outside `known` (--help is always known): a
+  /// typo such as "--peer-as" for "--peer-asn" must not silently drop a
+  /// filter. Prints a diagnostic naming the option and exits 2.
+  void accept(std::initializer_list<std::string_view> known) const {
+    for (const auto& [name, value] : options_) {
+      if (name == "help" ||
+          std::find(known.begin(), known.end(), name) != known.end()) {
+        continue;
+      }
+      std::fprintf(stderr, "error: unknown option %s%s (see --help)\n",
+                   name.size() == 1 ? "-" : "--", name.c_str());
+      std::exit(2);
+    }
+  }
+
+  /// Prints usage and exits: 0 when --help was passed (even without the
+  /// tool's required arguments), 2 when `condition` holds.
   void usage_if(bool condition, const char* text) const {
     if (condition || has("help")) {
       std::fputs(text, stderr);
-      std::exit(condition ? 2 : 0);
+      std::exit(has("help") ? 0 : 2);
     }
   }
 

@@ -97,6 +97,9 @@ void write_csv(const std::string& path, const core::SanitizedSnapshot& snap,
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv);
   args.usage_if(args.positional().empty(), kUsage);
+  args.accept({"snapshot", "csv", "formation", "stability", "trend",
+               "min-peers", "min-collectors", "no-filter", "threads",
+               "vp-budget", "vp-min-fidelity", "metrics"});
   const MetricsAtExit metrics{args.has("metrics")};
 
   core::AnalysisConfig config;

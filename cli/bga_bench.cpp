@@ -64,6 +64,8 @@ int main(int argc, char** argv) {
   using namespace bgpatoms;
   cli::Args args(argc, argv);
   args.usage_if(false, kUsage);
+  args.accept({"list", "all", "filter", "scale", "threads", "seed", "json",
+               "trace", "metrics", "strict-checks"});
 
   auto& registry = report::Registry::global();
   if (registry.size() == 0) bench::register_all_experiments(registry);

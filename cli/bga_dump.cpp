@@ -5,19 +5,21 @@
 //   bga_dump campaign.bga --peers          # per-peer table statistics
 //   bga_dump campaign.bga --collector rrc00 --peer-asn 64496 --text
 //
-// All modes stream the archive through bgp::ArchiveReader: the file is
-// decoded one CRC-checked section at a time, so even a multi-GB archive
-// needs only dictionary + one-section memory and --text starts printing
-// before the file tail is read.
+// All modes stream the archive section by section: the file is decoded
+// one CRC-checked section at a time, so even a multi-GB archive needs only
+// dictionary + one-section memory and --text (bgp::dump_text over a
+// bgp::ArchiveView) starts printing before the file tail is read.
 #include <cstdint>
 #include <cstdio>
+#include <iostream>
 #include <unordered_set>
 
 #include "bgp/archive_reader.h"
+#include "bgp/archive_view.h"
+#include "bgp/textdump.h"
 #include "cli/args.h"
 #include "net/prefix.h"
 #include "obs/obs.h"
-#include "stream/file_reader.h"
 
 using namespace bgpatoms;
 
@@ -104,33 +106,20 @@ void print_peers(bgp::ArchiveReader& reader) {
   }
 }
 
-void print_text(const std::string& path, const stream::Filters& filters) {
-  stream::FileRecordReader reader(path, filters);
-  while (auto rec = reader.next()) {
-    const char* kind = rec->type == stream::RecordType::kRibEntry ? "B"
-                       : rec->type == stream::RecordType::kAnnouncement
-                           ? "A"
-                           : "W";
-    std::printf("%lld|%s|%s|%s|%u|%s|%s\n",
-                static_cast<long long>(rec->timestamp), kind,
-                std::string(rec->collector).c_str(),
-                rec->peer_address.to_string().c_str(), rec->peer_asn,
-                rec->prefix.to_string().c_str(),
-                rec->path ? rec->path->to_string().c_str() : "");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv);
   args.usage_if(args.positional().empty(), kUsage);
+  args.accept({"text", "filter", "peers", "collector", "peer-asn", "prefix",
+               "time-begin", "time-end", "rib-only", "updates-only",
+               "metrics"});
   const MetricsAtExit metrics{args.has("metrics")};
   const std::string& path = args.positional()[0];
 
   try {
     if (args.has("text") || args.has("filter")) {
-      stream::Filters filters;
+      bgp::TextFilter filters;
       if (args.has("collector")) filters.collector = args.get("collector");
       if (args.has("peer-asn")) {
         // Bounds make the 32-bit narrowing safe (ASNs are unsigned).
@@ -145,7 +134,8 @@ int main(int argc, char** argv) {
       filters.time_end = args.get_int("time-end", INT64_MAX);
       if (args.has("rib-only")) filters.include_updates = false;
       if (args.has("updates-only")) filters.include_rib = false;
-      print_text(path, filters);
+      bgp::ArchiveView view(path);
+      bgp::dump_text(view, view, filters, std::cout);
       return 0;
     }
     bgp::ArchiveReader reader(path);

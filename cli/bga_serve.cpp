@@ -75,6 +75,9 @@ int one_shot(const query::ServeState& state, const report::json::Value& req) {
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv);
   args.usage_if(args.positional().empty(), kUsage);
+  args.accept({"port", "threads", "reference", "min-peers", "min-collectors",
+               "no-filter", "lookup", "equiv", "with", "history", "stats",
+               "snapshot", "metrics"});
   const MetricsAtExit metrics{args.has("metrics")};
 
   core::AnalysisConfig config;

@@ -5,13 +5,12 @@
 //
 // The produced archive holds the RIB snapshot(s) and (optionally) the
 // update stream; feed it to bga_dump / bga_atoms, or load it with
-// bgp::read_archive_file.
+// bgp::read_archive_file. `bga_dump out.bga --text --rib-only` prints
+// the RIB rows as text.
 #include <cstdio>
-#include <iostream>
 #include <limits>
 
 #include "bgp/archive.h"
-#include "bgp/textdump.h"
 #include "cli/args.h"
 #include "obs/obs.h"
 #include "routing/simulator.h"
@@ -33,7 +32,6 @@ constexpr char kUsage[] =
     "  --subhijacks <n> schedule <n> sub-prefix hijacks\n"
     "  --leaks <n>     schedule <n> route leaks\n"
     "  --rov           era-calibrated ROV adoption + ROA table\n"
-    "  --text          additionally dump the first snapshot as text\n"
     "  --metrics       print instrumentation counters/timers to stderr\n"
     "                  on exit\n"
     "  -o / --out <f>  output archive path (required)\n";
@@ -53,6 +51,9 @@ int main(int argc, char** argv) {
   std::string out = args.get("out", args.get("o"));
   if (out.empty() && !args.positional().empty()) out = args.positional()[0];
   args.usage_if(out.empty(), kUsage);
+  args.accept({"year", "scale", "seed", "v6", "updates", "stability",
+               "hijacks", "subhijacks", "leaks", "rov", "metrics", "o",
+               "out"});
   const MetricsAtExit metrics{args.has("metrics")};
 
   // Bounded at the parse boundary (exit 2 on out-of-range/NaN), same
@@ -103,9 +104,6 @@ int main(int argc, char** argv) {
   }
 
   const auto& ds = sim.dataset();
-  if (args.has("text")) {
-    bgp::dump_snapshot(std::cout, ds, ds.snapshots[0]);
-  }
   bgp::write_archive_file(ds, out);
   std::fprintf(stderr,
                "wrote %s: %zu snapshot(s), %zu RIB records, %zu updates\n",

@@ -138,6 +138,8 @@ int main(int argc, char** argv) {
   if (!bound.empty()) files.push_back(bound);
   for (const auto& p : raw.positional()) files.push_back(p);
   raw.usage_if(files.size() != 2 || (!to_mrt_mode && !to_bga_mode), kUsage);
+  raw.accept({"to-mrt", "to-bga", "collector", "snapshot", "updates",
+              "metrics"});
   const MetricsAtExit metrics{raw.has("metrics")};
 
   try {

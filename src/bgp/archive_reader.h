@@ -66,8 +66,8 @@ class ArchiveReader {
   std::uint64_t file_bytes() const { return file_size_; }
 
   /// High-water mark of the transient decode buffer: the largest section
-  /// payload. The bounded-peak-memory evidence reported by
-  /// bench/perf_archive.
+  /// payload: the bounded-peak-memory evidence the residency test in
+  /// tests/test_views.cpp checks.
   std::uint64_t peak_buffer_bytes() const { return peak_buffer_; }
 
  private:

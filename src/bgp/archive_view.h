@@ -7,9 +7,10 @@
 // the snapshot slot before loading the first chunk. peak_resident_records()
 // therefore stays at max(largest snapshot, largest snapshot-to-chunk
 // overlap) and does not grow with the number of snapshots in the archive;
-// bench/perf_archive --rss-guard enforces this. The reader underneath
-// buffers one framed section at a time (ArchiveReader::peak_buffer_bytes()),
-// so the bound holds for every archive.
+// test_views' ArchiveView.ResidencyDoesNotScaleWithSnapshotCount enforces
+// this. The reader underneath buffers one framed section at a time
+// (ArchiveReader::peak_buffer_bytes()), so the bound holds for every
+// archive.
 #pragma once
 
 #include <optional>

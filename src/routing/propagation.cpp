@@ -203,13 +203,6 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
   drain(RouteClass::kProvider, descend_ok);
 }
 
-net::AsPath Propagator::extract_path(const RouteTable& t,
-                                     NodeId node) const {
-  std::vector<net::Asn> hops;
-  append_path(t, node, hops);
-  return net::AsPath::sequence(std::move(hops));
-}
-
 void Propagator::append_path(const RouteTable& t, NodeId node,
                              std::vector<net::Asn>& out) const {
   if (node >= t.cls.size() || t.cls[node] == RouteClass::kNone) return;

@@ -310,5 +310,49 @@ TEST(ArgsDeathTest, MissingValueIsMalformedNotZero) {
               "--snapshot expects an integer");
 }
 
+// --- accept(): unknown options are usage errors --------------------------
+
+TEST(Args, AcceptKnownOptionsPasses) {
+  const auto args =
+      parse({"x.bga", "--text", "--peer-asn", "1", "--prefix=10.0.0.0/8",
+             "-o", "out.bga"});
+  args.accept({"text", "peer-asn", "prefix", "o"});
+  EXPECT_EQ(args.get("peer-asn"), "1");
+}
+
+TEST(ArgsDeathTest, UnknownOptionExitsWithUsageError) {
+  // The typo that used to dump every record unfiltered.
+  const auto args = parse({"x.bga", "--text", "--peer-as", "1"});
+  EXPECT_EXIT(args.accept({"text", "peer-asn"}), ::testing::ExitedWithCode(2),
+              "error: unknown option --peer-as ");
+}
+
+TEST(ArgsDeathTest, UnknownEqualsOptionExitsWithUsageError) {
+  const auto args = parse({"--colector=rrc00"});
+  EXPECT_EXIT(args.accept({"collector"}), ::testing::ExitedWithCode(2),
+              "error: unknown option --colector ");
+}
+
+TEST(ArgsDeathTest, UnknownShortOptionExitsWithUsageError) {
+  const auto args = parse({"-x", "out.bga"});
+  EXPECT_EXIT(args.accept({"o", "out"}), ::testing::ExitedWithCode(2),
+              "error: unknown option -x ");
+}
+
+TEST(ArgsDeathTest, HelpIsAlwaysAcceptedAndExitsZero) {
+  const auto args = parse({"--help"});
+  args.accept({"text"});
+  // Also when the tool's required arguments are missing ("bga_dump
+  // --help" has no archive).
+  EXPECT_EXIT(args.usage_if(true, "usage: prog\n"),
+              ::testing::ExitedWithCode(0), "usage: prog");
+}
+
+TEST(ArgsDeathTest, MissingRequiredArgumentsExitTwo) {
+  const auto args = parse({});
+  EXPECT_EXIT(args.usage_if(true, "usage: prog\n"),
+              ::testing::ExitedWithCode(2), "usage: prog");
+}
+
 }  // namespace
 }  // namespace bgpatoms::cli

@@ -6,7 +6,8 @@
 // current routes until no table entry changes. No queue, no buckets, no
 // visiting order. Randomized small graphs (siblings, prepends,
 // announce_to, transit rules) each run with ROV, a leaker and a second
-// MOAS/hijack source; every node's (cls, dist, parent, edge_prepend,
+// MOAS/hijack source, then a few units of a generated 2024 topology with
+// their assigned policies; every node's (cls, dist, parent, edge_prepend,
 // source) must match Propagator::compute.
 #include <gtest/gtest.h>
 
@@ -20,6 +21,8 @@
 #include "routing/policy_engine.h"
 #include "routing/propagation.h"
 #include "routing/rov.h"
+#include "topo/era.h"
+#include "topo/topology.h"
 
 namespace bgpatoms::routing {
 namespace {
@@ -270,23 +273,22 @@ TEST(PropagationOracle, MatchesFixpointOnRandomGraphs) {
   // One RouteTable reused across every run: stale scratch from a larger
   // graph or an earlier leak pass must not leak into the next result.
   RouteTable got;
-  for (int trial = 0; trial < 400; ++trial) {
-    const AsGraph g = random_graph(rng);
+  // Runs `origin`'s unit alone and against `second`'s (MOAS / hijack:
+  // the second origin fails ROV where anyone validates) through the
+  // plain, ROV+leak and ranked engines, each against the fixpoint.
+  const auto check = [&](const AsGraph& g, NodeId origin,
+                         const UnitPolicy* p1, NodeId second,
+                         const UnitPolicy* p2, const std::string& what) {
     const auto pick = [&] {
       return static_cast<NodeId>(rng.next_below(g.size()));
     };
-    const NodeId origin = pick();
-    const NodeId second = pick();
-    const UnitPolicy p1 = random_policy(g, origin, rng);
-    const UnitPolicy p2 = random_policy(g, second, rng);
     RovState rov;
     for (NodeId v = 0; v < g.size(); ++v) {
       if (rng.chance(0.3)) rov.set_validating(v, true);
     }
-    const std::vector<RouteSource> single{{origin, &p1, false}};
-    // MOAS / hijack: the second origin fails ROV where anyone validates.
-    const std::vector<RouteSource> multi{{origin, &p1, false},
-                                         {second, &p2, true}};
+    const std::vector<RouteSource> single{{origin, p1, false}};
+    const std::vector<RouteSource> multi{{origin, p1, false},
+                                         {second, p2, true}};
     const GaoRexfordEngine plain(g);
     const GaoRexfordEngine secured(g, &rov, pick());
     const PreferSecond ranked(secured);
@@ -304,8 +306,7 @@ TEST(PropagationOracle, MatchesFixpointOnRandomGraphs) {
     for (const Case& c : cases) {
       prop.compute(c.sources, c.engine, got);
       const RouteTable want = fixpoint(g, c.sources, c.engine);
-      expect_tables_eq(want, got,
-                       "trial " + std::to_string(trial) + " " + c.name);
+      expect_tables_eq(want, got, what + " " + c.name);
       const NodeId leaker = c.engine.leaker();
       if (leaker != kNoNode && want.cls[leaker] != RouteClass::kSelf &&
           want.cls[leaker] != RouteClass::kCustomer &&
@@ -313,10 +314,37 @@ TEST(PropagationOracle, MatchesFixpointOnRandomGraphs) {
         ++leak_passes;
       }
     }
+  };
+
+  for (int trial = 0; trial < 400; ++trial) {
+    const AsGraph g = random_graph(rng);
+    const auto pick = [&] {
+      return static_cast<NodeId>(rng.next_below(g.size()));
+    };
+    const NodeId origin = pick();
+    const NodeId second = pick();
+    const UnitPolicy p1 = random_policy(g, origin, rng);
+    const UnitPolicy p2 = random_policy(g, second, rng);
+    check(g, origin, &p1, second, &p2, "trial " + std::to_string(trial));
     if (HasFailure()) return;
   }
   // The trials must actually exercise the leak pass.
   EXPECT_GT(leak_passes, 50u);
+
+  // A realistic substrate as well: generated 2024 topology units with the
+  // policies the simulator assigns them, after the random graphs so the
+  // trials above keep their draws.
+  const topo::Topology topo =
+      topo::generate_topology(topo::era_params_v4(2024.0, 0.02), 42);
+  const PolicySet policies = assign_policies(topo, 42);
+  ASSERT_GT(policies.units.size(), 40u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const OriginUnit& a = policies.units[k * 10];
+    const OriginUnit& b = policies.units[k * 10 + 5];
+    check(topo.graph, a.origin, &a.policy, b.origin, &b.policy,
+          "era 2024 unit " + std::to_string(a.id));
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace

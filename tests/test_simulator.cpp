@@ -342,8 +342,7 @@ net::AsPath reference_vp_path(const Propagator& prop, const RouteTable& table,
                               const topo::AsGraph& graph, topo::NodeId vp,
                               std::uint8_t as_set_mode) {
   std::vector<net::Asn> hops{graph.node(vp).asn};
-  const auto rest = prop.extract_path(table, vp).flat();
-  hops.insert(hops.end(), rest.begin(), rest.end());
+  prop.append_path(table, vp, hops);
   if (as_set_mode == 0 || hops.size() < 3) return net::AsPath::sequence(hops);
   const std::size_t fold = as_set_mode == 1 ? 1 : 2;
   std::vector<net::Asn> tail(hops.end() - fold, hops.end());

@@ -8,6 +8,7 @@
 // snapshots the archive holds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -20,6 +21,7 @@
 #include "core/analyze.h"
 #include "core/longitudinal.h"
 #include "obs/obs.h"
+#include "routing/simulator.h"
 #include "testutil.h"
 
 namespace bgpatoms::core {
@@ -343,6 +345,74 @@ TEST(DatasetView, CursorsWalkOnceAndRewind) {
   view.rewind();
   EXPECT_NE(view.next_snapshot(), nullptr);
   EXPECT_EQ(view.next_chunk().size(), ds.updates.size());
+}
+
+// --- ArchiveView residency ---------------------------------------------------
+
+/// A campaign with `snapshots` captures an hour apart, updates after the
+/// first (IPv4 2020, scale 0.01, seed 42).
+bgp::Dataset guard_dataset(int snapshots) {
+  routing::Simulator sim(
+      topo::generate_topology(topo::era_params_v4(2020.0, 0.01), 42));
+  sim.capture();
+  sim.emit_updates(routing::kHour);
+  for (int i = 1; i < snapshots; ++i) {
+    sim.advance_to((i + 1) * routing::kHour);
+    sim.capture();
+  }
+  return std::move(sim.dataset());
+}
+
+struct StreamStats {
+  std::size_t snapshots = 0;
+  std::size_t largest_snapshot_records = 0;
+  std::size_t peak_resident_records = 0;
+  std::uint64_t peak_buffer_bytes = 0;
+  std::uint64_t file_bytes = 0;
+};
+
+/// Drains `path` through the streamed analysis backend and reports its
+/// residency counters.
+StreamStats stream_archive(const std::string& path) {
+  bgp::ArchiveView view(path);
+  StreamStats s;
+  while (const bgp::Snapshot* snap = view.next_snapshot()) {
+    ++s.snapshots;
+    s.largest_snapshot_records = std::max(s.largest_snapshot_records,
+                                          bgp::Dataset::record_count(*snap));
+  }
+  while (!view.next_chunk().empty()) {
+  }
+  s.peak_resident_records = view.peak_resident_records();
+  s.peak_buffer_bytes = view.archive().peak_buffer_bytes();
+  s.file_bytes = view.archive().file_bytes();
+  return s;
+}
+
+TEST(ArchiveView, ResidencyDoesNotScaleWithSnapshotCount) {
+  const TempFile small("2snap.bga");
+  const TempFile large("8snap.bga");
+  bgp::write_archive_file(guard_dataset(2), small.path());
+  bgp::write_archive_file(guard_dataset(8), large.path());
+  const StreamStats s2 = stream_archive(small.path());
+  const StreamStats s8 = stream_archive(large.path());
+  const std::size_t chunk = bgp::archive_detail::kUpdatesPerChunk;
+
+  EXPECT_TRUE(s2.snapshots == 2 && s8.snapshots == 8)
+      << "both archives stream every snapshot section";
+  EXPECT_LE(s2.peak_resident_records, s2.largest_snapshot_records + chunk)
+      << "2-snapshot peak residency <= one snapshot section + one chunk";
+  EXPECT_LE(s8.peak_resident_records, s8.largest_snapshot_records + chunk)
+      << "8-snapshot peak residency <= one snapshot section + one chunk";
+  // The scaling guard proper: 4x the snapshot sections must not move the
+  // peak beyond per-section variation (25% slack) — residency tracks the
+  // largest section, never the section count.
+  EXPECT_LE(s8.peak_resident_records * 4, s2.peak_resident_records * 5)
+      << "peak residency does not scale with snapshot count";
+  // Byte-level: the streaming buffer holds one framed section, a small
+  // share of the file once several sections exist.
+  EXPECT_LT(s8.peak_buffer_bytes * 2, s8.file_bytes)
+      << "stream buffer stays well below the file size";
 }
 
 }  // namespace

@@ -31,11 +31,6 @@ for stage in "${STAGES[@]}"; do
       configure default build
       cmake --build --preset default -j "${JOBS}"
       ctest --test-dir build --output-on-failure -j "${JOBS}"
-      # Propagation micro-bench smoke: one iteration of each BM_* so the
-      # policy-engine benchmark harness, which drives RouteTable and its
-      # propagation scratch directly, cannot rot (numbers are not
-      # asserted here; run build/bench/perf_propagate for real timings).
-      ./build/bench/perf_propagate --benchmark_min_time=0.01
       ;;
     serve)
       # bga_serve protocol + live-socket smoke (tests/test_serve.cpp);
@@ -53,10 +48,12 @@ for stage in "${STAGES[@]}"; do
       ;;
     asan)
       # asan_smoke covers the archive decoder over files and in-memory
-      # images (test_archive, test_archive_fuzz, test_stream), the path
-      # arena and its views (test_aspath, test_sanitize, test_wire,
-      # test_wire_fuzz, test_mrt), the 8-byte CRC-32 loads (test_hash_rng),
-      # the streamed analysis and the propagation/sanitize oracles
+      # images (test_archive, test_archive_fuzz), the text dump and the
+      # bga_dump binary on missing, truncated and mis-flagged input
+      # (test_textdump), the path arena and its views (test_aspath,
+      # test_sanitize, test_wire, test_wire_fuzz, test_mrt), the 8-byte
+      # CRC-32 loads (test_hash_rng), the streamed analysis and its
+      # residency bound (test_views) and the propagation/sanitize oracles
       # (tests/CMakeLists.txt).
       configure asan build-asan
       cmake --build --preset asan -j "${JOBS}"
