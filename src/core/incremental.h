@@ -99,8 +99,9 @@ class IncrementalAtoms {
 
   /// Order-independent O(rows) digest of the current partition: equal iff
   /// the row-equality classes are equal. This is the cheap per-boundary
-  /// identity probe perf_incremental uses — it avoids materializing atom
-  /// bodies. Compare against partition_fingerprint(AtomSet).
+  /// identity probe the incremental tests and perfbench's incremental
+  /// pass use — it avoids materializing atom bodies. Compare against
+  /// partition_fingerprint(AtomSet).
   std::uint64_t partition_fingerprint();
 
   /// Materializes the maintained per-VP tables as a SanitizedSnapshot

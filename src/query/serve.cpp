@@ -1,5 +1,6 @@
 #include "query/serve.h"
 
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,26 @@ using report::json::Value;
 
 Value error_reply(std::string message) {
   return Value(Object{{"ok", Value(false)}, {"error", Value(std::move(message))}});
+}
+
+/// Request text quoted for an error message: at most 64 bytes, printable
+/// ASCII as is and any other byte as \xNN, so an error reply stays short
+/// and valid UTF-8 whatever the request carried.
+std::string quoted(std::string_view text) {
+  constexpr std::size_t kMaxEcho = 64;
+  std::string out = "\"";
+  for (const char ch : text.substr(0, kMaxEcho)) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c >= 0x20 && c < 0x7f) {
+      out += ch;
+    } else {
+      char buf[5];
+      std::snprintf(buf, sizeof buf, "\\x%02x", c);
+      out += buf;
+    }
+  }
+  out += text.size() > kMaxEcho ? "\"..." : "\"";
+  return out;
 }
 
 /// Required string field or throws (caught into an error reply).
@@ -45,7 +66,7 @@ std::size_t snapshot_field(const Value& req, const Timeline& timeline) {
 
 net::Prefix parse_query(const std::string& text) {
   const auto p = net::parse_prefix(text);
-  if (!p) throw std::runtime_error("malformed prefix \"" + text + "\"");
+  if (!p) throw std::runtime_error("malformed prefix " + quoted(text));
   return *p;
 }
 
@@ -124,16 +145,21 @@ Value handle_history(const Timeline& timeline, const Value& req) {
   Array out;
   out.reserve(entries.size());
   for (const auto& e : entries) {
-    Object row{{"snapshot", Value(static_cast<std::uint64_t>(e.snapshot))},
-               {"label", Value(timeline.label(e.snapshot))},
-               {"present", Value(e.present)}};
+    // Each field's Value is built in place inside its pair: no json::Value
+    // temporary is moved, which GCC 12 misreads as a read of the moved
+    // variant's uninitialized vector members (-Wmaybe-uninitialized).
+    Object row;
+    row.reserve(e.present ? 9 : 3);
+    row.emplace_back("snapshot", static_cast<std::uint64_t>(e.snapshot));
+    row.emplace_back("label", timeline.label(e.snapshot));
+    row.emplace_back("present", e.present);
     if (e.present) {
-      row.emplace_back("matched", Value(e.matched.to_string()));
-      row.emplace_back("atom", Value(static_cast<std::uint64_t>(e.atom)));
-      row.emplace_back("size", Value(static_cast<std::uint64_t>(e.size)));
-      row.emplace_back("origin", Value(static_cast<std::uint64_t>(e.origin)));
-      row.emplace_back("moas", Value(e.moas));
-      row.emplace_back("same_as_previous", Value(e.same_as_previous));
+      row.emplace_back("matched", e.matched.to_string());
+      row.emplace_back("atom", static_cast<std::uint64_t>(e.atom));
+      row.emplace_back("size", static_cast<std::uint64_t>(e.size));
+      row.emplace_back("origin", static_cast<std::uint64_t>(e.origin));
+      row.emplace_back("moas", e.moas);
+      row.emplace_back("same_as_previous", e.same_as_previous);
     }
     out.emplace_back(std::move(row));
   }
@@ -193,7 +219,7 @@ ServeState::Reply ServeState::handle(std::string_view request) const {
       reply.shutdown = true;
       result = Value(Object{{"ok", Value(true)}, {"op", Value("shutdown")}});
     } else {
-      throw std::runtime_error("unknown op \"" + op + "\"");
+      throw std::runtime_error("unknown op " + quoted(op));
     }
   } catch (const std::exception& e) {
     result = error_reply(e.what());

@@ -57,7 +57,7 @@ struct ExperimentResult {
 class Context;
 
 struct Experiment {
-  std::string id;       // stable slug: "table1", "fig04", "perf_sweep"
+  std::string id;       // stable slug: "table1", "fig04", "scenario_hijack"
   std::string section;  // paper anchor
   std::string name;     // display name: "Table 1", "Figure 4"
   std::string title;    // one-line description
@@ -111,7 +111,6 @@ class Context {
   const core::Campaign& campaign(const core::CampaignConfig& config);
   /// Cached sweep over the shared pool.
   std::vector<core::QuarterMetrics> run_sweep(std::vector<core::SweepJob> jobs);
-  CampaignCache& cache() { return cache_; }
 
   // -- result assembly -------------------------------------------------
   void note(std::string line);

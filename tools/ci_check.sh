@@ -6,8 +6,11 @@
 #   tools/ci_check.sh             # default + serve + vp + asan + tsan
 #   tools/ci_check.sh default     # any subset of: default serve vp asan tsan
 #
-# Run from the repository root. Each stage is incremental: configure is
-# skipped when the preset's build directory already has a cache.
+# Run from the repository root. Each stage is incremental. It always
+# re-runs its preset's configure step, so the preset's cache variables
+# hold even in a build directory first configured without the preset:
+# the default preset builds with BGPATOMS_WARNINGS_AS_ERRORS=ON, and any
+# new compiler warning fails the default stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,31 +21,25 @@ if [ ${#STAGES[@]} -eq 0 ]; then
   STAGES=(default serve vp asan tsan)
 fi
 
-configure() { # <preset> <builddir>
-  if [ ! -f "$2/CMakeCache.txt" ]; then
-    cmake --preset "$1"
-  fi
-}
-
 for stage in "${STAGES[@]}"; do
   echo "==> ci_check: ${stage}"
   case "${stage}" in
     default)
-      configure default build
+      cmake --preset default
       cmake --build --preset default -j "${JOBS}"
       ctest --test-dir build --output-on-failure -j "${JOBS}"
       ;;
     serve)
       # bga_serve protocol + live-socket smoke (tests/test_serve.cpp);
       # the same suite also runs under the tsan stage via its labels.
-      configure default build
+      cmake --preset default
       cmake --build --preset default -j "${JOBS}" --target test_serve
       ctest --test-dir build -L serve_smoke --output-on-failure -j "${JOBS}"
       ;;
     vp)
       # VP-value selection smoke: the table_vp_value experiment at quarter
       # scale under --strict-checks (cli/CMakeLists.txt wires the test).
-      configure default build
+      cmake --preset default
       cmake --build --preset default -j "${JOBS}" --target bga_bench
       ctest --test-dir build -L vp_smoke --output-on-failure -j "${JOBS}"
       ;;
@@ -53,14 +50,15 @@ for stage in "${STAGES[@]}"; do
       # (test_textdump), the path arena and its views (test_aspath,
       # test_sanitize, test_wire, test_wire_fuzz, test_mrt), the 8-byte
       # CRC-32 loads (test_hash_rng), the streamed analysis and its
-      # residency bound (test_views) and the propagation/sanitize oracles
+      # residency bound (test_views), the serve handler's hostile-request
+      # corpus (test_serve) and the propagation/sanitize oracles
       # (tests/CMakeLists.txt).
-      configure asan build-asan
+      cmake --preset asan
       cmake --build --preset asan -j "${JOBS}"
       ctest --test-dir build-asan -L asan_smoke --output-on-failure -j "${JOBS}"
       ;;
     tsan)
-      configure tsan build-tsan
+      cmake --preset tsan
       cmake --build --preset tsan -j "${JOBS}"
       ctest --test-dir build-tsan -L tsan --output-on-failure -j "${JOBS}"
       ;;
